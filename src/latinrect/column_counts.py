@@ -5,9 +5,12 @@ floor: all picks distinct, every pick avoiding the floors whose hall for
 that row is omitted.  `choice_count` counts those picks for a profile by
 inclusion-exclusion over coincidence patterns of the rows, i.e. a sum
 over set partitions of the row set weighted by the signed coefficients
-from `partitions`.  `config_count` multiplies per-column counts over a
-whole profile; the floor carrying the column's back-row pick is handled
-by shifting one floor into the fully-omitted class first.
+from `partitions`.  Partitions share blocks, so the expansion for m
+rows is compiled once into straight-line code that adds up each
+distinct block sum once (`_kernel`).  `config_count` multiplies
+per-column counts over a whole profile; the floor carrying the column's
+back-row pick is handled by shifting one floor into the fully-omitted
+class first.
 
 Row convention here: bit i of a class index refers to rectangle row
 i + 2 (bit 0 is the row right after the fixed back row), matching the
@@ -40,10 +43,51 @@ def _expansion(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _tracked_rows(counts) -> int:
-    m = (len(counts) - 1).bit_length()
-    if len(counts) != 1 << m:
-        raise ValueError(f"profile length {len(counts)} is not a power of two")
+@lru_cache(maxsize=None)
+def _kernel(q: int):
+    """g for profiles of length q = 2^m, compiled once: (function, adds, mults).
+
+    The function is straight-line code over `_expansion(m)`: it adds up
+    each distinct block sum once, then combines the partitions.  At
+    m = 2 its source is
+
+        def g(c):
+            b1 = c[0] + c[2]
+            b2 = c[0] + c[1]
+            b3 = c[0]
+            return b1 * b2 - b3
+
+    adds and mults are the additions and inner multiplications one call
+    performs; a coefficient of -1 is a subtraction, not a multiplication.
+    """
+    m = _tracked_rows(q)
+    lines = ["def g(c):"]
+    summed = set()
+    terms = []
+    adds = mults = 0
+    for coeff, block_masks in _expansion(m):
+        for bm in block_masks:
+            if bm not in summed:
+                summed.add(bm)
+                zero = _zero_classes(m, bm)
+                lines.append(f"    b{bm} = " + " + ".join(f"c[{cls}]" for cls in zero))
+                adds += len(zero) - 1
+        factors = [f"b{bm}" for bm in block_masks]
+        if abs(coeff) != 1:
+            factors.insert(0, str(abs(coeff)))
+        mults += max(len(factors) - 1, 0)
+        terms.append(("- " if coeff < 0 else "+ ") + (" * ".join(factors) or "1"))
+    adds += len(terms) - 1
+    lines.append("    return " + " ".join(terms).removeprefix("+ "))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["g"], adds, mults
+
+
+def _tracked_rows(q: int) -> int:
+    m = (q - 1).bit_length()
+    if q != 1 << m:
+        raise ValueError(f"profile length {q} is not a power of two")
     return m
 
 
@@ -53,7 +97,7 @@ def block_sum(counts, block, tally: OpTally | None = None) -> int:
     `block` is a nonempty set of 1-based row positions within the
     tracked rows.
     """
-    m = _tracked_rows(counts)
+    m = _tracked_rows(len(counts))
     mask = 0
     for e in block:
         if not 1 <= e <= m:
@@ -61,16 +105,10 @@ def block_sum(counts, block, tally: OpTally | None = None) -> int:
         mask |= 1 << (e - 1)
     if mask == 0:
         raise ValueError("block must be nonempty")
-    return _masked_sum(counts, _zero_classes(m, mask), tally)
-
-
-def _masked_sum(counts, zero_classes, tally):
-    total = counts[zero_classes[0]]
-    for cls in zero_classes[1:]:
-        total += counts[cls]
-        if tally is not None:
-            tally.adds += 1
-    return total
+    zero = _zero_classes(m, mask)
+    if tally is not None:
+        tally.adds += len(zero) - 1
+    return sum(counts[cls] for cls in zero)
 
 
 def choice_count(counts, tally: OpTally | None = None) -> int:
@@ -80,35 +118,11 @@ def choice_count(counts, tally: OpTally | None = None) -> int:
     negative brackets to powers); the counting meaning applies only to
     nonnegative profiles.  m = 0 gives the empty product 1.
     """
-    m = _tracked_rows(counts)
-    total = None
-    for coeff, masks in _expansion(m):
-        prod = None
-        for bm in masks:
-            fa = _masked_sum(counts, _zero_classes(m, bm), tally)
-            if prod is None:
-                prod = fa
-            else:
-                prod *= fa
-                if tally is not None:
-                    tally.mults_inner += 1
-        if prod is None:
-            prod = 1
-        if coeff == -1:
-            term = -prod
-        elif coeff == 1:
-            term = prod
-        else:
-            term = coeff * prod
-            if tally is not None:
-                tally.mults_inner += 1
-        if total is None:
-            total = term
-        else:
-            total += term
-            if tally is not None:
-                tally.adds += 1
-    return total
+    kernel, adds, mults = _kernel(len(counts))
+    if tally is not None:
+        tally.adds += adds
+        tally.mults_inner += mults
+    return kernel(counts)
 
 
 def shift_profile(counts, cls: int) -> tuple[int, ...]:

@@ -38,14 +38,17 @@ def max_terms_limit(override: int | None = None) -> int:
 def composition_count(n: int, classes: int) -> int:
     """Number of ways to split n over `classes` ordered nonnegative parts.
 
-    Equals C(n + classes - 1, classes - 1); the running product is exact
-    because each prefix is itself a binomial coefficient.
+    Equals C(n + classes - 1, classes - 1) = C(n + classes - 1, n); the
+    running product takes min(n, classes - 1) steps, so a guard on a
+    huge class count (large k) answers at once.  It is exact because
+    each prefix is itself a binomial coefficient.
     """
     if n < 0 or classes < 1:
         raise ValueError("need n >= 0 and classes >= 1")
+    top = n + classes - 1
     c = 1
-    for i in range(1, classes):
-        c = c * (n + i) // i
+    for i in range(1, min(n, classes - 1) + 1):
+        c = c * (top - i + 1) // i
     return c
 
 

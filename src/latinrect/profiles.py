@@ -16,6 +16,7 @@ order with an in-place increment, which is O(1) amortized per step.
 """
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from .tallies import OpTally
@@ -67,26 +68,34 @@ def factorial_table(n: int) -> tuple[int, ...]:
 def multinomial(counts, tally: OpTally | None = None) -> int:
     """n! / prod(counts[v]!) for n = sum(counts), exactly.
 
-    Table-entry quotients are tallied as inner multiplications.
+    Table-entry quotients are tallied as inner multiplications: one per
+    entry, the denominator's products plus the final quotient.
     """
     n = sum(counts)
     fact = factorial_table(n)
-    denom = None
+    denom = 1
     for c in counts:
         if c < 0:
             raise ValueError("profile entries must be nonnegative")
-        if denom is None:
-            denom = fact[c]
-        else:
-            denom *= fact[c]
-            if tally is not None:
-                tally.mults_inner += 1
+        denom *= fact[c]
     if tally is not None:
-        tally.mults_inner += 1
+        tally.mults_inner += len(counts)
     return fact[n] // denom
 
 
+@lru_cache(maxsize=None)
+def _odd_entries(q: int):
+    """Getter of a profile's entries in classes of odd weight, as a sequence."""
+    odd = tuple(cls for cls in range(q) if class_weight(cls) & 1)
+    if len(odd) > 1:
+        return itemgetter(*odd)
+    # q <= 2: no such class, or class 1 alone; a slice keeps a sequence
+    return itemgetter(slice(1, q))
+
+
 def sign(counts) -> int:
-    """(-1) to the total number of omitted halls, sum of weight(v) * counts[v]."""
-    e = sum(class_weight(cls) * c for cls, c in enumerate(counts))
-    return -1 if e & 1 else 1
+    """(-1) to the total number of omitted halls, sum of weight(v) * counts[v].
+
+    Only classes of odd weight change the parity of that sum.
+    """
+    return -1 if sum(_odd_entries(len(counts))(counts)) & 1 else 1

@@ -18,6 +18,17 @@ def test_measure_term_counts():
             assert measure(k, n).terms == comb(n + q - 1, q - 1)
 
 
+def test_op_counts_at_k4_n10_are_pinned():
+    # multiplications are those of the seed evaluator; additions count each
+    # distinct block sum once per g (the seed re-added shared blocks: 2307448)
+    r = measure(4, 10)
+    assert r.terms == 19448
+    assert r.mults_inner == 724152
+    assert r.mults_actual == 158080
+    assert r.mults_paper_model == 175032
+    assert r.adds == 1483768
+
+
 def test_paper_model_charges_n_minus_one_per_term():
     # each term multiplies n column factors together: n - 1 multiplications
     for k in (2, 3):

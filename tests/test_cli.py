@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latinrect.cli import main
 from latinrect.guards import MAX_TERMS_ENV
@@ -190,3 +195,51 @@ def test_threads_flag_does_not_change_values(capsys):
     multi = json.loads(run(capsys, args + ["--threads", "4"])[1])
     for key in ("value", "terms", "adds", "mults"):
         assert single[key] == multi[key]
+
+
+def test_guard_refuses_huge_k_at_once(capsys):
+    # the term prediction loops min(n, 2^(k-1) - 1) times, not 2^69 times
+    code, _, err = run(capsys, ["count", "--k", "70", "--n", "3"])
+    assert code == 2
+    assert "refused" in err
+    code, _, _ = run(capsys, ["count", "--k", "70", "--n", "3", "--method", "direct-L"])
+    assert code == 2
+
+
+# argument text that is mostly malformed: junk, ranges, signs, huge or
+# negative integers; any that parses is still kept cheap by the caller
+_ARG_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="0123456789.-:, x", max_size=12),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+)
+
+
+def _exit_code(argv):
+    # an exception escaping main fails the test with its traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARG_TEXT)
+def test_fuzzed_n_exits_zero_one_or_two(text):
+    # --max-terms keeps every n that parses to a few hundred terms at most
+    for argv in (["count", "--k", "3", "--n", text, "--max-terms", "300"],
+                 ["table", "--k", "2", "--n", text, "--max-terms", "300"]):
+        assert _exit_code(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARG_TEXT)
+def test_fuzzed_max_terms_exits_zero_one_or_two(text):
+    for argv in (["count", "--k", "3", "--n", "4", "--max-terms", text],
+                 ["count", "--k", "2", "--n", "5", "--method", "direct-L", "--max-terms", text]):
+        assert _exit_code(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARG_TEXT)
+def test_fuzzed_halls_exits_zero_one_or_two(text):
+    argv = ["oracle", "--k", "3", "--n", "4", "--halls", text]
+    assert _exit_code(argv) in (0, 1, 2), argv

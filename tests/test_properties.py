@@ -5,11 +5,11 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinrect.column_counts import choice_count, config_count
+from latinrect.column_counts import block_sum, choice_count, config_count
 from latinrect.oracle import injective_tuple_count, is_latin, reduce_rectangle
 from latinrect.partitions import mobius_coefficient, partitions_of
-from latinrect.profiles import compositions, multinomial, sign
-from latinrect.tallies import powered
+from latinrect.profiles import class_weight, compositions, multinomial, sign
+from latinrect.tallies import OpTally, powered
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2))
@@ -47,6 +47,53 @@ def profiles_strategy(max_m=3, max_n=5):
 @given(profiles_strategy())
 def test_choice_count_equals_tuple_enumeration(profile):
     assert choice_count(profile) == injective_tuple_count(profile)
+
+
+def signed_profiles(max_m=4):
+    # choice_count takes any integer entries, negative ones included
+    return st.integers(min_value=0, max_value=max_m).flatmap(
+        lambda m: st.lists(
+            st.integers(min_value=-6, max_value=6), min_size=2**m, max_size=2**m
+        ).map(tuple)
+    )
+
+
+def reference_choice_count(counts):
+    """g from its definition: every partition's signed product of block sums.
+
+    Also returns the tally that definition implies when each distinct
+    block sum is added up once.
+    """
+    m = (len(counts) - 1).bit_length()
+    tally = OpTally()
+    sums = {}
+    total = 0
+    for p in partitions_of(m):
+        coeff = mobius_coefficient(p)
+        term = 1
+        for block in p.blocks:
+            if block not in sums:
+                sums[block] = block_sum(counts, set(block), tally)
+            term *= sums[block]
+        total += coeff * term
+        tally.mults_inner += max(len(p.blocks) - 1, 0) + (abs(coeff) != 1)
+    tally.adds += len(partitions_of(m)) - 1
+    return total, tally
+
+
+@settings(max_examples=200)
+@given(signed_profiles())
+def test_choice_count_matches_partition_reference(profile):
+    expected, expected_tally = reference_choice_count(profile)
+    tally = OpTally()
+    assert choice_count(profile, tally) == expected
+    assert tally == expected_tally
+
+
+@given(signed_profiles())
+def test_sign_is_parity_of_weighted_sum(profile):
+    weighted = sum(class_weight(cls) * c for cls, c in enumerate(profile))
+    assert sign(profile) == (-1) ** (weighted % 2)
 
 
 @settings(max_examples=60)
