@@ -62,9 +62,8 @@ class Sweep:
 def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
     """Instrumented single-threaded evaluation of the reduced count."""
     tally = OpTally()
-    _, terms, elapsed = formulas.evaluate_reduced(
-        k, n, threads=1, max_terms=max_terms, tally=tally
-    )
+    stats = formulas._evaluate("formula", k, n, max_terms=max_terms, tally=tally).stats
+    terms = stats.terms
     expected = guards.composition_count(n, 1 << (k - 1))
     if terms != expected:
         raise AssertionError(
@@ -78,7 +77,7 @@ def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
         mults_actual=tally.mults_assembly,
         mults_paper_model=tally.mults_assembly_naive,
         mults_inner=tally.mults_inner,
-        elapsed=elapsed,
+        elapsed=stats.elapsed,
     )
 
 

@@ -9,7 +9,6 @@ integers almost immediately.  Exit codes: 0 success, 1 usage error,
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from math import factorial
@@ -117,7 +116,9 @@ def _render_count(result: formulas.CountResult, fmt: str) -> str:
 
 
 def _default_threads() -> int:
-    return os.cpu_count() or 1
+    # the sum is CPU-bound pure Python, which the interpreter lock runs one
+    # thread at a time, so a pool gains nothing and starts only on request
+    return 1
 
 
 def _cmd_count(args) -> int:
@@ -126,7 +127,7 @@ def _cmd_count(args) -> int:
     if args.reduced and total_only:
         raise UsageError(f"--method {method} computes totals; drop --reduced")
     variant = "total" if (args.total or total_only) else "reduced"
-    threads = args.threads if args.threads else _default_threads()
+    threads = _default_threads() if args.threads is None else args.threads
     if method == "formula" and variant == "total":
         method = "factorial-bridge"
     if method == "formula":
@@ -163,7 +164,7 @@ def _cmd_expr(args) -> int:
 
 def _cmd_table(args) -> int:
     lo, hi = args.n
-    threads = args.threads if args.threads else _default_threads()
+    threads = _default_threads() if args.threads is None else args.threads
     rows = []
     for n in range(lo, hi + 1):
         if args.method == "oracle":

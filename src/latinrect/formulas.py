@@ -1,17 +1,16 @@
 """Counting formulas for k-by-n Latin rectangles.
 
-`reduced_count` evaluates the inclusion-exclusion sum over hall-omission
-profiles: each term is sign x multinomial x product of per-column choice
-counts, accumulated exactly over all C(n + 2^(k-1) - 1, 2^(k-1) - 1)
-profiles with no shortcuts (in particular, no special case for n < k:
-the sum itself vanishes there).  `total_count` applies the n! bridge,
-and `total_count_direct` runs the include-exclude over all k rows
-instead, trading the reduction for a much larger profile space.  All
-arithmetic is exact integers end to end.
+Every formula method is one inclusion-exclusion sum over hall-omission
+profiles of sign x multinomial x a product of column counts, accumulated
+exactly over every composition of n with no shortcuts (no special case
+for n < k: the sum itself vanishes there).  `reduced_count` takes
+`column_counts.config_count` as the product over the 2^(k-1) classes of
+rows 2..k, `total_count` multiplies the sum by n!, and
+`total_count_direct` raises one bracket to the n-th power over the 2^k
+classes of all k rows.  All arithmetic is exact integers end to end.
 
-Term evaluation is embarrassingly parallel; with threads > 1 the profile
-stream is cut into fixed-size chunks whose exact partial sums and op
-tallies are combined in stream order, so values and statistics never
+Evaluation is serial unless threads > 1; the pool then sums fixed-size
+chunks and combines them in stream order, so values and statistics never
 depend on the thread count.
 """
 
@@ -19,6 +18,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from math import factorial
 
@@ -49,91 +49,124 @@ class CountResult:
     note: str | None = None
 
 
-def _validate(k: int, n: int) -> None:
+def _term(profile, columns, tally):
+    term = profiles.multinomial(profile, tally) * columns(profile, tally)
+    return term if profiles.sign(profile) > 0 else -term
+
+
+def _sum_terms(stream, columns, tally):
+    """Exact sum of the terms of `stream`'s profiles: (value, terms)."""
+    total = 0
+    terms = 0
+    for profile in stream:
+        total += _term(profile, columns, tally)
+        terms += 1
+    if tally is not None:
+        # per term: multinomial x columns, and adding it to the total
+        tally.mults_inner += terms
+        tally.adds += terms
+    return total, terms
+
+
+def _sum_chunk(chunk, columns, instrument):
+    # runs on a pool worker, so the chunk's tally is made on that thread
+    tally = OpTally() if instrument else None
+    return (*_sum_terms(chunk, columns, tally), tally)
+
+
+def _pooled_sum(stream, columns, threads, tally):
+    """`_sum_terms` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
+    total = 0
+    terms = 0
+    window = deque()
+    max_inflight = max(4 * threads, 8)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # chunks merge oldest-first, so results and tallies never depend on
+        # the thread count; the window bounds memory on long streams
+        while (chunk := list(islice(stream, _CHUNK))) or window:
+            if chunk:
+                window.append(pool.submit(_sum_chunk, chunk, columns, tally is not None))
+            if not chunk or len(window) >= max_inflight:
+                sub, count, sub_tally = window.popleft().result()
+                total += sub
+                terms += count
+                if tally is not None:
+                    tally.merge(sub_tally)
+    return total, terms
+
+
+def _literal_bracket(profile, tally):
+    # k = 2 only: bracket printed with the fully-omitted class subtracted
+    # instead of the fully-open one.
+    a = profile[0] + profile[1]
+    b = profile[0] + profile[2]
+    prod = a * b
+    result = prod - profile[3]
+    if tally is not None:
+        tally.adds += 3
+        tally.mults_inner += 1
+    return result
+
+
+def _powered_bracket(bracket, n, profile, tally):
+    return powered(bracket(profile, tally), n, tally)
+
+
+def _evaluate(
+    method: str,
+    k: int,
+    n: int,
+    *,
+    bracket: str = "derived",
+    threads: int = 1,
+    max_terms: int | None = None,
+    tally: OpTally | None = None,
+) -> CountResult:
+    """The one evaluator behind the formula, factorial-bridge and direct-L methods.
+
+    The caller owns `tally`; None leaves the run uninstrumented.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
     if n < 0:
         raise ValueError("need n >= 0")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    if method == "direct-L":
+        if bracket not in ("derived", "literal"):
+            raise ValueError(f"unknown bracket variant {bracket!r}")
+        if bracket == "literal" and k != 2:
+            raise ValueError("the literal bracket variant is defined for k = 2 only")
+        m = k
+        base = _literal_bracket if bracket == "literal" else column_counts.choice_count
+        columns = partial(_powered_bracket, base, n)
+        what = "direct total count"
+    else:
+        m = k - 1
+        columns = column_counts.config_count
+        what = "reduced count"
+    guards.check_terms(n, 1 << m, max_terms, f"{what} for k={k}, n={n}")
 
-
-def _chunk_sum(chunk, term_fn, want_tally):
-    tally = OpTally() if want_tally else None
-    total = 0
-    for p in chunk:
-        total += term_fn(p, tally)
-        if tally is not None:
-            tally.adds += 1
-    return total, len(chunk), tally
-
-
-def _signed_profile_sum(n, m, term_fn, threads, tally):
-    gen = profiles.compositions(n, m)
-    if threads <= 1:
-        total = 0
-        terms = 0
-        for p in gen:
-            total += term_fn(p, tally)
-            terms += 1
-            if tally is not None:
-                tally.adds += 1
-        return total, terms
-    total = 0
-    terms = 0
-
-    def merge(future):
-        nonlocal total, terms
-        sub, cnt, sub_tally = future.result()
-        total += sub
-        terms += cnt
-        if tally is not None:
-            tally.merge(sub_tally)
-
-    # chunks are merged oldest-first, so results and tallies never depend
-    # on the thread count; the window bounds memory on long streams
-    window = deque()
-    max_inflight = max(4 * threads, 8)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(islice(gen, _CHUNK))
-            if not chunk:
-                break
-            window.append(pool.submit(_chunk_sum, chunk, term_fn, tally is not None))
-            if len(window) >= max_inflight:
-                merge(window.popleft())
-        while window:
-            merge(window.popleft())
-    return total, terms
-
-
-def _reduced_term(profile, tally):
-    coeff = profiles.multinomial(profile, tally)
-    prod = column_counts.config_count(profile, tally)
-    term = coeff * prod
-    if tally is not None:
-        tally.mults_inner += 1
-    return term if profiles.sign(profile) > 0 else -term
-
-
-def evaluate_reduced(
-    k: int,
-    n: int,
-    *,
-    threads: int = 1,
-    max_terms: int | None = None,
-    tally: OpTally | None = None,
-):
-    """Raw reduced-count evaluation: (value, terms evaluated, elapsed seconds).
-
-    The caller owns the tally; `reduced_count` is the packaged form.
-    """
-    _validate(k, n)
-    m = k - 1
-    limit = guards.max_terms_limit(max_terms)
-    predicted = guards.composition_count(n, 1 << m)
-    guards.ensure_within(predicted, limit, f"reduced count for k={k}, n={n}")
     start = time.perf_counter()
-    value, terms = _signed_profile_sum(n, m, _reduced_term, threads, tally)
-    return value, terms, time.perf_counter() - start
+    stream = profiles.compositions(n, m)
+    if threads == 1:
+        value, terms = _sum_terms(stream, columns, tally)
+    else:
+        value, terms = _pooled_sum(stream, columns, threads, tally)
+    elapsed = time.perf_counter() - start
+
+    bridged = method == "factorial-bridge"
+    if bridged:
+        value *= factorial(n)
+    stats = EvalStats(
+        terms=terms,
+        adds=tally.adds if tally else 0,
+        mults=tally.mults_total + bridged if tally else 0,
+        elapsed=elapsed,
+    )
+    variant = "reduced" if method == "formula" else "total"
+    note = "extrapolated beyond the k<=3 cases" if method == "direct-L" and k > 3 else None
+    return CountResult(k, n, variant, method, value, stats, note)
 
 
 def reduced_count(
@@ -151,16 +184,7 @@ def reduced_count(
     fall out of the formula rather than being special-cased.
     """
     tally = OpTally() if instrument else None
-    value, terms, elapsed = evaluate_reduced(
-        k, n, threads=threads, max_terms=max_terms, tally=tally
-    )
-    stats = EvalStats(
-        terms=terms,
-        adds=tally.adds if tally else 0,
-        mults=tally.mults_total if tally else 0,
-        elapsed=elapsed,
-    )
-    return CountResult(k, n, "reduced", "formula", value, stats)
+    return _evaluate("formula", k, n, threads=threads, max_terms=max_terms, tally=tally)
 
 
 def total_count(
@@ -172,29 +196,10 @@ def total_count(
     instrument: bool = True,
 ) -> CountResult:
     """n! times the reduced count: all k-by-n Latin rectangles."""
-    base = reduced_count(
-        k, n, threads=threads, max_terms=max_terms, instrument=instrument
+    tally = OpTally() if instrument else None
+    return _evaluate(
+        "factorial-bridge", k, n, threads=threads, max_terms=max_terms, tally=tally
     )
-    stats = EvalStats(
-        terms=base.stats.terms,
-        adds=base.stats.adds,
-        mults=base.stats.mults + (1 if instrument else 0),
-        elapsed=base.stats.elapsed,
-    )
-    return CountResult(k, n, "total", "factorial-bridge", factorial(n) * base.value, stats)
-
-
-def _literal_bracket(profile, tally):
-    # k = 2 only: bracket printed with the fully-omitted class subtracted
-    # instead of the fully-open one.
-    a = profile[0] + profile[1]
-    b = profile[0] + profile[2]
-    prod = a * b
-    result = prod - profile[3]
-    if tally is not None:
-        tally.adds += 3
-        tally.mults_inner += 1
-    return result
 
 
 def total_count_direct(
@@ -215,37 +220,10 @@ def total_count_direct(
     sums agree everywhere they have been compared.  k > 3 follows the
     same visible pattern and is flagged as extrapolated in the result.
     """
-    _validate(k, n)
-    if bracket not in ("derived", "literal"):
-        raise ValueError(f"unknown bracket variant {bracket!r}")
-    if bracket == "literal" and k != 2:
-        raise ValueError("the literal bracket variant is defined for k = 2 only")
-    limit = guards.max_terms_limit(max_terms)
-    predicted = guards.composition_count(n, 1 << k)
-    guards.ensure_within(predicted, limit, f"direct total count for k={k}, n={n}")
-
-    base_fn = _literal_bracket if bracket == "literal" else column_counts.choice_count
-
-    def term(profile, tally):
-        coeff = profiles.multinomial(profile, tally)
-        power = powered(base_fn(profile, tally), n, tally)
-        value = coeff * power
-        if tally is not None:
-            tally.mults_inner += 1
-        return value if profiles.sign(profile) > 0 else -value
-
     tally = OpTally() if instrument else None
-    start = time.perf_counter()
-    value, terms = _signed_profile_sum(n, k, term, threads, tally)
-    elapsed = time.perf_counter() - start
-    stats = EvalStats(
-        terms=terms,
-        adds=tally.adds if tally else 0,
-        mults=tally.mults_total if tally else 0,
-        elapsed=elapsed,
+    return _evaluate(
+        "direct-L", k, n, bracket=bracket, threads=threads, max_terms=max_terms, tally=tally
     )
-    note = "extrapolated beyond the k<=3 cases" if k > 3 else None
-    return CountResult(k, n, "total", "direct-L", value, stats, note)
 
 
 def derangements_classical(n: int) -> int:

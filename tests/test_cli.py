@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latinrect import formulas
 from latinrect.cli import main
 from latinrect.guards import MAX_TERMS_ENV
 
@@ -204,6 +206,36 @@ def test_guard_refuses_huge_k_at_once(capsys):
     assert "refused" in err
     code, _, _ = run(capsys, ["count", "--k", "70", "--n", "3", "--method", "direct-L"])
     assert code == 2
+
+
+def test_guard_refuses_huge_predictions_at_once(capsys):
+    # the exact counts have about 5,400 digits (k=14) or take seconds to
+    # compute (k=20); the guard stops at the first prefix past 10^18
+    for size in (["--k", "14", "--n", "10000"], ["--k", "20", "--n", "1000000"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, ["count", *size])
+        assert time.perf_counter() - start < 1.0, size
+        assert code == 2, size
+        assert "refused" in err and "more than 1000000000000000000 terms" in err
+
+
+def test_threads_below_one_or_not_an_integer_exit_one(capsys):
+    for command in ("count", "table"):
+        for threads in ("0", "-3", "x"):
+            argv = [command, "--k", "3", "--n", "4", "--threads", threads]
+            code, out, err = run(capsys, argv)
+            assert code == 1, argv
+            assert out == "" and "threads" in err, argv
+
+
+def test_default_threads_do_not_start_the_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default run started a thread pool")
+
+    monkeypatch.setattr(formulas, "ThreadPoolExecutor", no_pool)
+    code, out, _ = run(capsys, ["count", "--k", "4", "--n", "6", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == "393120"
 
 
 # argument text that is mostly malformed: junk, ranges, signs, huge or

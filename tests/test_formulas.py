@@ -115,10 +115,10 @@ def test_direct_beyond_printed_cases_is_flagged():
 
 
 def test_parallel_evaluation_is_deterministic():
-    for k, n in ((3, 12), (4, 8)):
-        single = reduced_count(k, n, threads=1)
+    for count, k, n in ((reduced_count, 3, 12), (reduced_count, 4, 8), (total_count_direct, 3, 8)):
+        single = count(k, n, threads=1)
         for threads in (2, 4):
-            multi = reduced_count(k, n, threads=threads)
+            multi = count(k, n, threads=threads)
             assert multi.value == single.value
             assert multi.stats.terms == single.stats.terms
             assert multi.stats.adds == single.stats.adds
