@@ -5,7 +5,7 @@
 * ``terms``             -- profiles summed over, exactly C(n+2^(k-1)-1, 2^(k-1)-1);
 * ``adds``              -- every exact-integer addition the evaluation performs;
 * ``mults_actual``      -- multiplications assembling each term's power
-                           product, as performed (square-and-multiply);
+                           product, as performed (binary powering);
 * ``mults_paper_model`` -- the same assembly costed naively, each power
                            g^s charged s - 1 multiplications, which makes
                            every term cost exactly n - 1 of them;

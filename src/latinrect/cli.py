@@ -52,6 +52,17 @@ def _parse_single(text: str) -> int:
     return lo
 
 
+def _parse_threads(text: str) -> int:
+    # checked at parse time, so every method rejects the same values
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"need threads >= 1, got {threads}")
+    return threads
+
+
 def _parse_halls(text: str):
     halls = []
     for piece in text.split(","):
@@ -310,7 +321,7 @@ def build_parser() -> _Parser:
     )
     p_count.add_argument("--bracket", choices=["derived", "literal"], default="derived")
     p_count.add_argument("--max-terms", type=int, default=None)
-    p_count.add_argument("--threads", type=int, default=None)
+    p_count.add_argument("--threads", type=_parse_threads, default=None)
     add_common(p_count, ["human", "json", "csv"], "human")
     p_count.set_defaults(fn=_cmd_count)
 
@@ -325,7 +336,7 @@ def build_parser() -> _Parser:
     p_table.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
     p_table.add_argument("--method", choices=["formula", "oracle"], default="formula")
     p_table.add_argument("--max-terms", type=int, default=None)
-    p_table.add_argument("--threads", type=int, default=None)
+    p_table.add_argument("--threads", type=_parse_threads, default=None)
     add_common(p_table, ["human", "json", "csv"], "human")
     p_table.set_defaults(fn=_cmd_table)
 

@@ -16,6 +16,7 @@ order with an in-place increment, which is O(1) amortized per step.
 """
 
 from functools import lru_cache
+from math import perm
 from operator import itemgetter
 from typing import Iterator
 
@@ -56,31 +57,59 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
         c[i + 1] += 1
 
 
+# 0!, 1!, ...: grown on demand; every factorial_table is a slice of it
+_factorials = (1,)
+
+
 @lru_cache(maxsize=None)
 def factorial_table(n: int) -> tuple[int, ...]:
-    """0! .. n! as exact integers, computed once and shared."""
-    fact = [1] * (n + 1)
-    for i in range(1, n + 1):
-        fact[i] = fact[i - 1] * i
-    return tuple(fact)
+    """0! .. n! as exact integers, computed once and shared.
+
+    Every table is a prefix of one growing tuple, so tables for different
+    n share their integer objects.  A caller that must grow it builds on
+    a local copy and then publishes it; when two threads race, one
+    result is dropped, which costs sharing and never a wrong entry.
+    """
+    global _factorials
+    fact = _factorials
+    if len(fact) <= n:
+        grown = list(fact)
+        x = grown[-1]
+        for i in range(len(fact), n + 1):
+            x *= i
+            grown.append(x)
+        fact = tuple(grown)
+        if len(fact) > len(_factorials):
+            _factorials = fact
+    return fact[: max(n + 1, 0)]
 
 
 def multinomial(counts, tally: OpTally | None = None) -> int:
     """n! / prod(counts[v]!) for n = sum(counts), exactly.
 
-    Table-entry quotients are tallied as inner multiplications: one per
-    entry, the denominator's products plus the final quotient.
+    The largest entry's factorial cancels against n!, leaving the falling
+    product perm(n, n - top); every other entry is at most n // 2.
+    Tallied as inner multiplications, one per entry: the falling
+    product, the denominator's products and the final quotient.
     """
     n = sum(counts)
-    fact = factorial_table(n)
+    fact = factorial_table(n // 2)
+    top = 0
     denom = 1
-    for c in counts:
-        if c < 0:
-            raise ValueError("profile entries must be nonnegative")
-        denom *= fact[c]
+    try:
+        for c in counts:
+            if c > top:
+                c, top = top, c
+            elif c < 0:
+                raise ValueError("profile entries must be nonnegative")
+            denom *= fact[c]
+    except IndexError:
+        # two entries above n // 2: only a negative entry, not yet
+        # reached, can have cut the sum that short
+        raise ValueError("profile entries must be nonnegative") from None
     if tally is not None:
         tally.mults_inner += len(counts)
-    return fact[n] // denom
+    return perm(n, n - top) // denom
 
 
 @lru_cache(maxsize=None)

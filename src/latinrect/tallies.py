@@ -3,9 +3,9 @@
 The n-dependent cost of one formula term is the chain of big-integer
 multiplications assembling the product of n per-column factors.  Those
 land in the ``assembly`` buckets, under two accountings: the
-multiplications actually performed (square-and-multiply powering plus
-combining the per-class powers) and the naive model that builds each
-power g^s with s - 1 multiplications.  Everything else a term needs --
+multiplications actually performed (binary powering plus combining the
+per-class powers) and the naive model that builds each power g^s with
+s - 1 multiplications.  Everything else a term needs --
 block sums, the column-choice polynomial, multinomial quotients,
 coefficient scaling -- costs a fixed number of operations once k is
 fixed; its multiplications are tallied in ``mults_inner`` and its
@@ -14,6 +14,7 @@ multiplications (same cost class).
 """
 
 from dataclasses import dataclass
+from math import prod
 
 
 @dataclass
@@ -37,46 +38,28 @@ class OpTally:
 
 
 def powered(base: int, exp: int, tally: OpTally | None = None):
-    """base**exp by square-and-multiply, with 0**0 == 1.
+    """base**exp by the interpreter's `**`, with 0**0 == 1.
 
-    Actual multiplications go to the assembly bucket; the naive model is
-    credited max(exp - 1, 0) multiplications for the same power.
+    For these exponents `**` is left-to-right binary powering: one
+    squaring per bit after the leading one and one multiplication by the
+    base per further set bit, bit_length + bit_count - 2 in all.  Those
+    go to the assembly bucket; the naive model is credited
+    max(exp - 1, 0) multiplications for the same power.
     """
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
     if exp == 0:
         return 1
     if tally is not None:
+        tally.mults_assembly += exp.bit_length() + exp.bit_count() - 2
         tally.mults_assembly_naive += exp - 1
-    acc = None
-    sq = base
-    e = exp
-    while True:
-        if e & 1:
-            if acc is None:
-                acc = sq
-            else:
-                acc = acc * sq
-                if tally is not None:
-                    tally.mults_assembly += 1
-        e >>= 1
-        if not e:
-            break
-        sq = sq * sq
-        if tally is not None:
-            tally.mults_assembly += 1
-    return acc
+    return base**exp
 
 
 def assembly_product(values, tally: OpTally | None = None):
-    """Product of the per-class powers; empty product is 1."""
-    prod = None
-    for v in values:
-        if prod is None:
-            prod = v
-        else:
-            prod = prod * v
-            if tally is not None:
-                tally.mults_assembly += 1
-                tally.mults_assembly_naive += 1
-    return 1 if prod is None else prod
+    """Product of a sequence of per-class powers; empty product is 1."""
+    if tally is not None:
+        steps = max(len(values) - 1, 0)
+        tally.mults_assembly += steps
+        tally.mults_assembly_naive += steps
+    return prod(values)

@@ -228,6 +228,16 @@ def test_threads_below_one_or_not_an_integer_exit_one(capsys):
             assert out == "" and "threads" in err, argv
 
 
+def test_threads_below_one_exit_one_for_every_method(capsys):
+    # the oracle never starts the pool, yet rejects the same values
+    for argv in (["count", "--k", "3", "--n", "4", "--method", "oracle", "--threads", "0"],
+                 ["table", "--k", "3", "--n", "4", "--method", "oracle", "--threads", "-3"],
+                 ["count", "--k", "2", "--n", "4", "--method", "direct-L", "--threads", "0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == "" and "threads" in err, argv
+
+
 def test_default_threads_do_not_start_the_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the default run started a thread pool")
@@ -275,3 +285,30 @@ def test_fuzzed_max_terms_exits_zero_one_or_two(text):
 def test_fuzzed_halls_exits_zero_one_or_two(text):
     argv = ["oracle", "--k", "3", "--n", "4", "--halls", text]
     assert _exit_code(argv) in (0, 1, 2), argv
+
+
+def _as_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    # an accepted value may start a pool; keep it to a few threads
+    st.text(max_size=12).filter(lambda text: (_as_int(text) or 0) <= 8),
+    st.integers(min_value=-10**6, max_value=8).map(str),
+))
+def test_fuzzed_threads_exits_zero_or_one(text):
+    # k <= 3 and n <= 4 keep every accepted request to one pool chunk
+    argvs = [["count", "--k", "3", "--n", "4", "--method", method, "--threads", text]
+             for method in ("formula", "oracle", "direct-L")]
+    argvs += [["table", "--k", "3", "--n", "3..4", "--method", method, "--threads", text]
+              for method in ("formula", "oracle")]
+    threads = _as_int(text)
+    for argv in argvs:
+        code = _exit_code(argv)
+        assert code in (0, 1), argv
+        if threads is not None and threads < 1:
+            assert code == 1, argv

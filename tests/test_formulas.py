@@ -1,3 +1,4 @@
+import time
 from math import comb, factorial
 
 import pytest
@@ -161,3 +162,20 @@ def test_argument_validation():
         derangements_ryser(-1)
     with pytest.raises(ValueError):
         reduced_count(2, 3, max_terms=0)
+
+
+def derangements_by_recurrence(n):
+    """D(n) = n D(n-1) + (-1)^n, sharing no code with the factorial table."""
+    d = 1
+    for i in range(1, n + 1):
+        d = i * d + (-1 if i & 1 else 1)
+    return d
+
+
+def test_two_row_counts_at_thousand_digit_sizes():
+    # the big-integer path: multinomials, powers and products of values
+    # with thousands of digits, where every other test stays small
+    start = time.perf_counter()
+    assert reduced_count(2, 1200).value == derangements_by_recurrence(1200)
+    assert total_count(2, 700).value == factorial(700) * derangements_by_recurrence(700)
+    assert time.perf_counter() - start < 2.0

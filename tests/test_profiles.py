@@ -1,11 +1,15 @@
-from math import comb
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from math import comb, factorial
 
 import pytest
 
+from latinrect import profiles
 from latinrect.profiles import (
     class_label,
     class_weight,
     compositions,
+    factorial_table,
     multinomial,
     sign,
 )
@@ -91,3 +95,46 @@ def test_compositions_reject_bad_arguments():
         list(compositions(-1, 2))
     with pytest.raises(ValueError):
         list(compositions(3, -1))
+
+
+@pytest.fixture
+def fresh_factorials(monkeypatch):
+    # start from an empty shared table and cache, whichever n ran before
+    factorial_table.cache_clear()
+    monkeypatch.setattr(profiles, "_factorials", (1,))
+    yield
+    factorial_table.cache_clear()
+
+
+def test_factorial_table_matches_math_factorial():
+    for n in (0, 1, 2, 7, 100, 457):
+        assert list(factorial_table(n)) == [factorial(i) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("order", [(10, 300), (300, 10)])
+def test_factorial_tables_share_their_entries(fresh_factorials, order):
+    first, second = (factorial_table(n) for n in order)
+    tables = {len(first) - 1: first, len(second) - 1: second}
+    assert tables[10][7] is tables[300][7]
+    assert tables[10] == tables[300][:11]
+
+
+def test_factorial_tables_built_by_concurrent_threads_are_correct(fresh_factorials):
+    sizes = [5, 800, 17, 1200, 0, 64, 900, 333, 1199, 2, 640, 1000] * 2
+    reference = [factorial(i) for i in range(max(sizes) + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            tables = list(pool.map(factorial_table, sizes, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, table in zip(sizes, tables):
+        assert list(table) == reference[: n + 1], n
+
+
+def test_multinomial_rejects_a_negative_entry_after_large_ones():
+    # entries ahead of the negative one may overrun the n // 2 table
+    for profile in ((3, 4, -5), (1000, 1000, -1999), (5, -3), (0, 0, 9, -1)):
+        with pytest.raises(ValueError):
+            multinomial(profile)
