@@ -26,6 +26,7 @@ from . import column_counts, guards, profiles
 from .tallies import OpTally, powered
 
 _CHUNK = 1024
+_WINDOW = 8  # most chunks held in flight by the pool, whatever its thread count
 
 
 @dataclass(frozen=True)
@@ -79,14 +80,14 @@ def _pooled_sum(stream, columns, threads, tally):
     total = 0
     terms = 0
     window = deque()
-    max_inflight = max(4 * threads, 8)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # threads beyond the window would have no chunk to sum
+    with ThreadPoolExecutor(max_workers=min(threads, _WINDOW)) as pool:
         # chunks merge oldest-first, so results and tallies never depend on
         # the thread count; the window bounds memory on long streams
         while (chunk := list(islice(stream, _CHUNK))) or window:
             if chunk:
                 window.append(pool.submit(_sum_chunk, chunk, columns, tally is not None))
-            if not chunk or len(window) >= max_inflight:
+            if not chunk or len(window) >= _WINDOW:
                 sub, count, sub_tally = window.popleft().result()
                 total += sub
                 terms += count

@@ -2,7 +2,10 @@
 
 Everything here counts by filling cells and checking constraints
 directly; none of it shares code with the formula evaluators, so
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  The one
+shortcut is the backtracking memo in `brute_force_count`: rows 2..k
+are interchangeable, so a partial rectangle is stored under its
+sorted row masks, one key per row-permutation class.
 
 Rectangles are sequences of rows of integers in 1..n.  A configuration
 view of a rectangle places one room per (row, column) shaft at floor
@@ -93,9 +96,15 @@ def brute_force_count(
     1..n; one bitmask per row tracks used symbols and a column mask
     tracks the current column (seeded with the first-row symbol), with
     symbols tried in increasing order.  States reached through different
-    column prefixes but with identical row masks complete in the same
-    number of ways, so completions are shared through a memo keyed on
-    the row masks.
+    column prefixes complete in the same number of ways when their row
+    masks agree up to the order of rows 2..k, so completions are shared
+    through a memo keyed on the sorted row masks.  That key is exact:
+    swapping two non-first rows of a partial rectangle swaps their masks
+    and maps its completions one-to-one onto those of the swapped state,
+    since the remaining constraints (each row a permutation, each column
+    distinct, the first row fixed) treat rows 2..k alike.  Symbols are
+    never grouped by type, so the search shares nothing with the profile
+    sum's floor classes.
 
     variant="total" scales the reduced count by n! rather than
     enumerating first rows.
@@ -115,9 +124,11 @@ def brute_force_count(
 
 def _count_reduced(k: int, n: int) -> int:
     full = (1 << n) - 1
+    m = k - 1
     memo: dict[tuple[int, ...], int] = {}
 
     def fill(masks: tuple[int, ...]) -> int:
+        # masks is sorted: the canonical form of its row-permutation class
         j = masks[0].bit_count()  # columns filled so far
         if j == n:
             return 1
@@ -127,23 +138,24 @@ def _count_reduced(k: int, n: int) -> int:
         total = 0
 
         def cell(i: int, colmask: int, acc: tuple[int, ...]):
+            # acc holds the extended masks of the first i non-first rows
             nonlocal total
-            if i == k - 1:
-                total += fill(acc)
+            if i == m:
+                total += fill(tuple(sorted(acc)))
                 return
-            avail = full & ~acc[i] & ~colmask
+            avail = full & ~masks[i] & ~colmask
             while avail:
                 b = avail & -avail
                 avail ^= b
-                cell(i + 1, colmask | b, acc[:i] + (acc[i] | b,) + acc[i + 1 :])
+                cell(i + 1, colmask | b, acc + (masks[i] | b,))
 
-        cell(0, 1 << j, masks)
+        cell(0, 1 << j, ())
         memo[masks] = total
         return total
 
     if k == 1:
         return 1
-    return fill((0,) * (k - 1))
+    return fill((0,) * m)
 
 
 def _normalize_halls(halls, k: int, n: int) -> frozenset[tuple[int, int]]:

@@ -1,8 +1,10 @@
 import time
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
+import latinrect.formulas as formulas
 import latinrect.guards as guards
 from latinrect.formulas import (
     derangements_classical,
@@ -124,6 +126,59 @@ def test_parallel_evaluation_is_deterministic():
             assert multi.stats.terms == single.stats.terms
             assert multi.stats.adds == single.stats.adds
             assert multi.stats.mults == single.stats.mults
+
+
+class _RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: runs each chunk at submission, on
+    the calling thread, and records how many chunks are held unmerged."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        self.held = 0
+        self.peak_held = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.held += 1
+        self.peak_held = max(self.peak_held, self.held)
+        value = fn(*args)
+
+        def result():
+            self.held -= 1
+            return value
+
+        return SimpleNamespace(result=result)
+
+
+def test_pool_window_is_capped_whatever_the_thread_count(monkeypatch):
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(_RecordingExecutor(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(formulas, "ThreadPoolExecutor", recording_pool)
+    pooled = reduced_count(3, 60, threads=1000)
+    (pool,) = pools
+    assert pool.submitted == 39  # C(63, 3) profiles in chunks of 1024
+    assert pool.peak_held == formulas._WINDOW < pool.submitted
+    assert pool.max_workers == formulas._WINDOW
+    assert pool.held == 0
+    monkeypatch.undo()
+    serial = reduced_count(3, 60, threads=1)
+    assert pooled.value == serial.value
+    assert (pooled.stats.terms, pooled.stats.adds, pooled.stats.mults) == (
+        serial.stats.terms,
+        serial.stats.adds,
+        serial.stats.mults,
+    )
 
 
 def test_uninstrumented_value_is_bit_identical():

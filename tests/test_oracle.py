@@ -1,8 +1,12 @@
+import ast
 import itertools
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import latinrect.oracle as oracle
+from latinrect.formulas import reduced_count
 from latinrect.guards import ResourceGuardError
 from latinrect.oracle import (
     brute_force_count,
@@ -101,6 +105,34 @@ def test_brute_force_guard():
         brute_force_count(0, 3)
     with pytest.raises(ValueError):
         brute_force_count(2, 2, "sideways")
+
+
+@pytest.mark.parametrize(
+    "k,n,value",
+    [
+        (3, 8, 70299264),
+        (3, 9, 5792853248),  # OEIS A000186
+        (4, 7, 155185920),  # OEIS A000573
+    ],
+)
+def test_brute_force_up_to_n9_matches_the_formula(k, n, value):
+    assert brute_force_count(k, n, max_n=n) == reduced_count(k, n).value == value
+
+
+def test_oracle_imports_nothing_from_the_formula_side():
+    # agreement with the profile sum is evidence only while no code is shared
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    forbidden = {"profiles", "column_counts", "formulas", "partitions", "expressions"}
+    assert not {part for name in imported for part in name.split(".")} & forbidden
+    assert "guards" in imported
 
 
 def test_lonely_hall_examples():
