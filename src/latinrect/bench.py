@@ -1,6 +1,6 @@
 """Empirical operation counts for the reduced-count formula.
 
-`measure` evaluates one (k, n) with the tallies switched on and reports:
+`measure` evaluates one (k, n) on its own tally and reports:
 
 * ``terms``             -- profiles summed over, exactly C(n+2^(k-1)-1, 2^(k-1)-1);
 * ``adds``              -- every exact-integer addition the evaluation performs;
@@ -28,6 +28,7 @@ squares to log(series total) against log(n) for each series.
 
 import json
 import math
+import statistics
 from dataclasses import dataclass
 
 from . import formulas, guards
@@ -48,9 +49,6 @@ class CostReport:
     mults_inner: int
     elapsed: float
 
-    def series(self, name: str) -> int:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class Sweep:
@@ -60,7 +58,7 @@ class Sweep:
 
 
 def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
-    """Instrumented single-threaded evaluation of the reduced count."""
+    """Single-threaded evaluation of the reduced count, with its op breakdown."""
     tally = OpTally()
     stats = formulas._evaluate("formula", k, n, max_terms=max_terms, tally=tally).stats
     terms = stats.terms
@@ -85,19 +83,14 @@ def fitted_exponents(reports) -> dict:
     """OLS slope of log(series) vs log(n), per series; None if degenerate."""
     out = {}
     for name in FIT_SERIES:
-        points = [
-            (r.n, r.series(name)) for r in reports if r.n > 0 and r.series(name) > 0
-        ]
-        if len({p[0] for p in points}) < 2:
+        points = [(r.n, getattr(r, name)) for r in reports]
+        points = [(n, v) for n, v in points if n > 0 and v > 0]
+        if len({n for n, _ in points}) < 2:
             out[name] = None
             continue
-        lx = [math.log(p[0]) for p in points]
-        ly = [math.log(p[1]) for p in points]
-        mx = sum(lx) / len(lx)
-        my = sum(ly) / len(ly)
-        sxx = sum((a - mx) ** 2 for a in lx)
-        sxy = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-        out[name] = sxy / sxx
+        lx = [math.log(n) for n, _ in points]
+        ly = [math.log(v) for _, v in points]
+        out[name] = statistics.linear_regression(lx, ly).slope
     return out
 
 

@@ -81,8 +81,11 @@ def _parse_halls(text: str):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"latinrect: error: cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

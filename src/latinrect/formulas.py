@@ -62,16 +62,15 @@ def _sum_terms(stream, columns, tally):
     for profile in stream:
         total += _term(profile, columns, tally)
         terms += 1
-    if tally is not None:
-        # per term: multinomial x columns, and adding it to the total
-        tally.mults_inner += terms
-        tally.adds += terms
+    # per term: multinomial x columns, and adding it to the total
+    tally.mults_inner += terms
+    tally.adds += terms
     return total, terms
 
 
-def _sum_chunk(chunk, columns, instrument):
+def _sum_chunk(chunk, columns):
     # runs on a pool worker, so the chunk's tally is made on that thread
-    tally = OpTally() if instrument else None
+    tally = OpTally()
     return (*_sum_terms(chunk, columns, tally), tally)
 
 
@@ -86,13 +85,12 @@ def _pooled_sum(stream, columns, threads, tally):
         # the thread count; the window bounds memory on long streams
         while (chunk := list(islice(stream, _CHUNK))) or window:
             if chunk:
-                window.append(pool.submit(_sum_chunk, chunk, columns, tally is not None))
+                window.append(pool.submit(_sum_chunk, chunk, columns))
             if not chunk or len(window) >= _WINDOW:
                 sub, count, sub_tally = window.popleft().result()
                 total += sub
                 terms += count
-                if tally is not None:
-                    tally.merge(sub_tally)
+                tally.merge(sub_tally)
     return total, terms
 
 
@@ -102,11 +100,9 @@ def _literal_bracket(profile, tally):
     a = profile[0] + profile[1]
     b = profile[0] + profile[2]
     prod = a * b
-    result = prod - profile[3]
-    if tally is not None:
-        tally.adds += 3
-        tally.mults_inner += 1
-    return result
+    tally.adds += 3
+    tally.mults_inner += 1
+    return prod - profile[3]
 
 
 def _powered_bracket(bracket, n, profile, tally):
@@ -121,11 +117,11 @@ def _evaluate(
     bracket: str = "derived",
     threads: int = 1,
     max_terms: int | None = None,
-    tally: OpTally | None = None,
+    tally: OpTally,
 ) -> CountResult:
     """The one evaluator behind the formula, factorial-bridge and direct-L methods.
 
-    The caller owns `tally`; None leaves the run uninstrumented.
+    The caller owns `tally`, which collects the run's operation counts.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -161,13 +157,12 @@ def _evaluate(
         value *= factorial(n)
     stats = EvalStats(
         terms=terms,
-        adds=tally.adds if tally else 0,
-        mults=tally.mults_total + bridged if tally else 0,
+        adds=tally.adds,
+        mults=tally.mults_total + bridged,
         elapsed=elapsed,
     )
     variant = "reduced" if method == "formula" else "total"
-    note = "extrapolated beyond the k<=3 cases" if method == "direct-L" and k > 3 else None
-    return CountResult(k, n, variant, method, value, stats, note)
+    return CountResult(k, n, variant, method, value, stats)
 
 
 def reduced_count(
@@ -176,7 +171,6 @@ def reduced_count(
     *,
     threads: int = 1,
     max_terms: int | None = None,
-    instrument: bool = True,
 ) -> CountResult:
     """Number of k-by-n Latin rectangles whose first row is 1..n in order.
 
@@ -184,8 +178,7 @@ def reduced_count(
     comes out 0 whenever 1 <= n < k because every term vanishes; both
     fall out of the formula rather than being special-cased.
     """
-    tally = OpTally() if instrument else None
-    return _evaluate("formula", k, n, threads=threads, max_terms=max_terms, tally=tally)
+    return _evaluate("formula", k, n, threads=threads, max_terms=max_terms, tally=OpTally())
 
 
 def total_count(
@@ -194,12 +187,10 @@ def total_count(
     *,
     threads: int = 1,
     max_terms: int | None = None,
-    instrument: bool = True,
 ) -> CountResult:
     """n! times the reduced count: all k-by-n Latin rectangles."""
-    tally = OpTally() if instrument else None
     return _evaluate(
-        "factorial-bridge", k, n, threads=threads, max_terms=max_terms, tally=tally
+        "factorial-bridge", k, n, threads=threads, max_terms=max_terms, tally=OpTally()
     )
 
 
@@ -210,20 +201,30 @@ def total_count_direct(
     *,
     threads: int = 1,
     max_terms: int | None = None,
-    instrument: bool = True,
 ) -> CountResult:
     """All k-by-n Latin rectangles by include-exclude over every hall.
+
+    The sum holds for every k; no step of its derivation uses the value
+    of k.  Relax the rows: each cell holds a floor, distinct within its
+    column.  A relaxed configuration is a Latin rectangle exactly when
+    it leaves no (row, floor) hall of its k rows empty, since each row
+    has n cells for n floors.  Inclusion-exclusion over the set H of
+    halls forced empty gives L_k(n) = sum_H (-1)^|H| N(H).  Columns pick
+    independently, so N(H) = G = g^n, where g counts the ways one
+    column's k rows pick distinct floors outside H.  g depends only on
+    H's profile c over the 2^k classes of all k rows, and is
+    `column_counts.choice_count` at m = k.  Exactly multinomial(n; c)
+    hall sets have profile c, and |H| = sum_v weight(v) c[v].  So
+    L_k(n) = sum_c sign(c) multinomial(n; c) g(c)^n, which is this sum.
 
     Each term raises one per-column bracket to the n-th power; brackets
     may be negative along the way, which is fine for exact integers.
     `bracket` picks, for k = 2 only, between the partition-derived
     bracket (... - s00) and the literal variant (... - s11); the two
-    sums agree everywhere they have been compared.  k > 3 follows the
-    same visible pattern and is flagged as extrapolated in the result.
+    sums agree everywhere they have been compared.
     """
-    tally = OpTally() if instrument else None
     return _evaluate(
-        "direct-L", k, n, bracket=bracket, threads=threads, max_terms=max_terms, tally=tally
+        "direct-L", k, n, bracket=bracket, threads=threads, max_terms=max_terms, tally=OpTally()
     )
 
 

@@ -77,7 +77,7 @@ def _suite_formula_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
     return suite
 
 
-def _suite_config_vs_oracle(max_k: int, max_n: int, samples: int) -> SuiteResult:
+def _suite_config_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
     """Exhaustive over all hall sets while that is feasible, sampled beyond.
 
     Exhausting 2^((k-1)n) hall sets with up to product-exponential
@@ -96,12 +96,12 @@ def _suite_config_vs_oracle(max_k: int, max_n: int, samples: int) -> SuiteResult
                     got == want,
                     f"k={k} n={n} halls={sorted(halls)}: profile formula={got} oracle={want}",
                 )
-    if max_k >= 3 and samples > 0:
+    if max_k >= 3:
         rng = random.Random(_SEED)
         top = min(max(max_n + 1, 5), oracle.LONELY_HALL_MAX_N)
         for n in range(exhaustive_n + 1, top + 1):
             universe = [(row, floor) for row in (2, 3) for floor in range(1, n + 1)]
-            for _ in range(samples):
+            for _ in range(RANDOM_HALL_SAMPLES):
                 halls = frozenset(h for h in universe if rng.random() < 0.5)
                 got = column_counts.config_count(oracle.profile_of(halls, 3, n))
                 want = oracle.lonely_hall_count(3, n, halls)
@@ -185,18 +185,13 @@ def _suite_closed_forms(max_n: int) -> tuple[SuiteResult, list[str]]:
     return suite, notes
 
 
-def run_selftest(
-    *,
-    max_k: int = DEFAULT_MAX_K,
-    max_n: int = DEFAULT_MAX_N,
-    samples: int = RANDOM_HALL_SAMPLES,
-) -> SelftestReport:
+def run_selftest(*, max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> SelftestReport:
     """Run every suite at the given depth; smallest cases first."""
     if max_k < 2 or max_n < 1:
         raise ValueError("selftest depth needs max_k >= 2 and max_n >= 1")
     suites = [_suite_derangements(max(max_n, 6))]
     suites.append(_suite_formula_vs_oracle(min(max_k + 1, 4), max_n))
-    suites.append(_suite_config_vs_oracle(min(max_k, 3), max_n, samples))
+    suites.append(_suite_config_vs_oracle(min(max_k, 3), max_n))
     suites.append(_suite_bracket_variants(max_n))
     suites.append(_suite_zero_rule(max_k))
     closed, notes = _suite_closed_forms(max_n)

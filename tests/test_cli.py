@@ -191,6 +191,19 @@ def test_count_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "9"
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        for argv in (
+            ["count", "--k", "2", "--n", "3", "--out", str(target)],
+            ["bench", "--k", "2", "--n", "3..4", "--csv", str(target)],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1, argv
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.count("\n") == 1 and str(target) in err
+
+
 def test_threads_flag_does_not_change_values(capsys):
     args = ["count", "--k", "3", "--n", "9", "--format", "json"]
     single = json.loads(run(capsys, args + ["--threads", "1"])[1])
