@@ -28,27 +28,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
+# argparse type functions raise ArgumentTypeError, so the parser reports
+# them as "<prog>: error: argument --n: ..." like every other usage error
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
             a, b = int(lo), int(hi)
         except ValueError:
-            raise UsageError(f"bad range {text!r}; expected a..b") from None
+            raise argparse.ArgumentTypeError(f"bad range {text!r}; expected a..b") from None
         if a > b:
-            raise UsageError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         return a, b
     try:
         v = int(text)
     except ValueError:
-        raise UsageError(f"bad value {text!r}; expected an integer or a..b") from None
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}; expected an integer or a..b"
+        ) from None
     return v, v
 
 
 def _parse_single(text: str) -> int:
     lo, hi = _parse_range(text)
     if lo != hi:
-        raise UsageError(f"this command takes a single n, not a range ({text!r})")
+        raise argparse.ArgumentTypeError(
+            f"this command takes a single n, not a range ({text!r})"
+        )
     return lo
 
 
@@ -211,7 +217,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_bench(args) -> int:
     lo, hi = args.n
-    out_path = args.out or args.csv
+    out_path = args.out or args.csv  # the parser admits at most one
     fmt = args.format
     if args.csv and args.format == "json":
         raise UsageError("--csv writes CSV; drop --format json or use --out")
@@ -346,9 +352,11 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="operation-count sweep (single-threaded)")
     p_bench.add_argument("--k", type=int, required=True)
     p_bench.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
-    p_bench.add_argument("--csv", metavar="PATH", default=None, help="write CSV to PATH")
     p_bench.add_argument("--max-terms", type=int, default=None)
-    add_common(p_bench, ["csv", "json"], "csv")
+    p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
+    target = p_bench.add_mutually_exclusive_group()
+    target.add_argument("--out", metavar="PATH", default=None)
+    target.add_argument("--csv", metavar="PATH", default=None, help="write CSV to PATH")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_oracle = sub.add_parser("oracle", help="brute-force counts and hall-set probes")

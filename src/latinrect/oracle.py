@@ -3,9 +3,11 @@
 Everything here counts by filling cells and checking constraints
 directly; none of it shares code with the formula evaluators, so
 agreement between the two is evidence, not tautology.  The one
-shortcut is the backtracking memo in `brute_force_count`: rows 2..k
-are interchangeable, so a partial rectangle is stored under its
-sorted row masks, one key per row-permutation class.
+shortcut is the backtracking memo in `brute_force_count`: a partial
+rectangle is stored under how many symbols have each type (which of
+rows 2..k have placed the symbol, and whether its column is still
+unfilled), up to a relabeling of rows 2..k.  It counts positive
+completions only; no signs, multinomials or column-choice counts.
 
 Rectangles are sequences of rows of integers in 1..n.  A configuration
 view of a rectangle places one room per (row, column) shaft at floor
@@ -17,6 +19,7 @@ of halls forced empty, never including the back row (row 1).
 
 import itertools
 from math import factorial
+from operator import itemgetter
 
 from .guards import ResourceGuardError
 
@@ -93,18 +96,29 @@ def brute_force_count(
     """Exact Latin-rectangle count by column-by-column backtracking.
 
     Rows 2..k are filled one column at a time against a fixed first row
-    1..n; one bitmask per row tracks used symbols and a column mask
-    tracks the current column (seeded with the first-row symbol), with
-    symbols tried in increasing order.  States reached through different
-    column prefixes complete in the same number of ways when their row
-    masks agree up to the order of rows 2..k, so completions are shared
-    through a memo keyed on the sorted row masks.  That key is exact:
-    swapping two non-first rows of a partial rectangle swaps their masks
-    and maps its completions one-to-one onto those of the swapped state,
-    since the remaining constraints (each row a permutation, each column
-    distinct, the first row fixed) treat rows 2..k alike.  Symbols are
-    never grouped by type, so the search shares nothing with the profile
-    sum's floor classes.
+    1..n.  After some columns are filled, each symbol s has a type
+    (U, f): U is the set of rows 2..k that have placed s, and f = 1 iff
+    s heads a column (is its row-1 symbol) that is still unfilled.  The
+    state is the vector N of how many symbols have each of the 2^k
+    types, and the number of completions depends on N alone.  Take a
+    permutation of the symbols that maps each symbol to one of the same
+    type, and move each unfilled column along with its head symbol: it
+    maps the completions of one partial rectangle one-to-one onto those
+    of the other, since the remaining constraints (each row a
+    permutation, each column distinct, the first row fixed) only see
+    types.  Relabeling rows 2..k permutes the bits of U and maps
+    completions one-to-one in the same way, since those constraints
+    treat rows 2..k alike.  So the memo key is N up to the (k-1)! bit
+    permutations; the raw N is looked up first, and the canonical one
+    (the least relabeling) is computed only on a miss.
+
+    The search fills any unfilled column next, since the order of the
+    columns does not change the set of completions.  Row i picks a
+    symbol whose type lacks row i, other than the column's head and the
+    symbols already picked in the column; picking from a type with a
+    such symbols left multiplies the count by a.
+
+    At k=4 n=7 the memo holds 159 canonical states.
 
     variant="total" scales the reduced count by n! rather than
     enumerating first rows.
@@ -123,39 +137,72 @@ def brute_force_count(
 
 
 def _count_reduced(k: int, n: int) -> int:
-    full = (1 << n) - 1
+    # A symbol's type is U | f << m: U holds bit i iff row i+2 has placed
+    # the symbol, f is set iff the symbol heads a column not yet filled.
+    # A state is the count of symbols of each type.
     m = k - 1
-    memo: dict[tuple[int, ...], int] = {}
+    pending = 1 << m
+    size = pending << 1
+    relabelings = []
+    for perm in itertools.permutations(range(m)):
+        src = [0] * size
+        for t in range(size):
+            moved = t & pending
+            for i in range(m):
+                if t >> i & 1:
+                    moved |= 1 << perm[i]
+            src[moved] = t
+        relabelings.append(itemgetter(*src))
+    lacking = [[t for t in range(size) if not t >> i & 1] for i in range(m)]
+    done = [0] * size
+    done[pending - 1] = n  # every row has placed every symbol
+    memo: dict[tuple[int, ...], int] = {tuple(done): 1}
 
-    def fill(masks: tuple[int, ...]) -> int:
-        # masks is sorted: the canonical form of its row-permutation class
-        j = masks[0].bit_count()  # columns filled so far
-        if j == n:
-            return 1
-        cached = memo.get(masks)
+    def fill(state: tuple[int, ...]) -> int:
+        cached = memo.get(state)
         if cached is not None:
             return cached
-        total = 0
+        key = min(relabel(state) for relabel in relabelings)
+        cached = memo.get(key)
+        if cached is None:
+            cached = memo[key] = extend(state)
+        memo[state] = cached
+        return cached
 
-        def cell(i: int, colmask: int, acc: tuple[int, ...]):
-            # acc holds the extended masks of the first i non-first rows
-            nonlocal total
+    def extend(state: tuple[int, ...]) -> int:
+        # fill the column of some pending symbol of type head; picked
+        # symbols leave counts until the column is done, so no row of this
+        # column can pick them (or the head) again
+        counts = list(state)
+        head = next(t for t in range(pending, size) if counts[t])
+        counts[head] -= 1
+        placed = [head ^ pending]  # the head's column is no longer pending
+        successors: dict[tuple[int, ...], int] = {}
+
+        def cell(i: int, ways: int):
             if i == m:
-                total += fill(tuple(sorted(acc)))
+                nxt = counts[:]
+                for t in placed:
+                    nxt[t] += 1
+                nxt = tuple(nxt)
+                successors[nxt] = successors.get(nxt, 0) + ways
                 return
-            avail = full & ~masks[i] & ~colmask
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                cell(i + 1, colmask | b, acc + (masks[i] | b,))
+            bit = 1 << i
+            for t in lacking[i]:
+                a = counts[t]
+                if a:
+                    counts[t] = a - 1
+                    placed.append(t | bit)
+                    cell(i + 1, ways * a)
+                    placed.pop()
+                    counts[t] = a
 
-        cell(0, 1 << j, ())
-        memo[masks] = total
-        return total
+        cell(0, 1)
+        return sum(ways * fill(nxt) for nxt, ways in successors.items())
 
-    if k == 1:
-        return 1
-    return fill((0,) * m)
+    initial = [0] * size
+    initial[pending] = n  # no row has placed anything; every column pending
+    return fill(tuple(initial))
 
 
 def _normalize_halls(halls, k: int, n: int) -> frozenset[tuple[int, int]]:

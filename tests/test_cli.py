@@ -98,6 +98,19 @@ def test_usage_errors_exit_one(capsys):
     assert "constant 1" in err
 
 
+def test_bad_n_is_reported_like_other_usage_errors(capsys):
+    for argv, message in (
+        (["count", "--k", "2", "--n", "3..a"], "bad range '3..a'; expected a..b"),
+        (["table", "--k", "2", "--n", "5..3"], "empty range '5..3'"),
+        (["oracle", "--k", "2", "--n", "2..3"], "this command takes a single n, not a range ('2..3')"),
+        (["bench", "--k", "2", "--n", "x"], "bad value 'x'; expected an integer or a..b"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == f"latinrect {argv[0]}: error: argument --n: {message}\n"
+
+
 def test_guard_exits_two(capsys):
     code, _, err = run(capsys, ["count", "--k", "6", "--n", "40", "--max-terms", "1000"])
     assert code == 2
@@ -154,6 +167,17 @@ def test_bench_csv_file(tmp_path, capsys):
     lines = content.splitlines()
     assert lines[0].startswith("k,n,terms")
     assert any(line.startswith("# fitted_exponent_mults_paper_model=") for line in lines)
+
+
+def test_bench_csv_and_out_are_exclusive(tmp_path, capsys):
+    csv_path, out_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, out, err = run(
+        capsys, ["bench", "--k", "2", "--n", "3..4", "--csv", str(csv_path), "--out", str(out_path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("latinrect bench: error: ")
+    assert not csv_path.exists() and not out_path.exists()
 
 
 def test_bench_json_lines(capsys):

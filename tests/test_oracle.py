@@ -34,6 +34,46 @@ def permutation_filter_count(k, n):
     return count
 
 
+def row_mask_count(k, n):
+    """Reference column search: concrete symbols, memo on sorted row masks.
+
+    Rows 2..k are filled one column at a time against the first row
+    1..n, one used-symbol bitmask per row; states whose masks agree up
+    to the order of rows 2..k share their completions.  Symbols are
+    never grouped by type, so it checks the oracle's type-count memo.
+    """
+    if k == 1:
+        return 1
+    full = (1 << n) - 1
+    m = k - 1
+    memo = {}
+
+    def fill(masks):
+        j = masks[0].bit_count()  # columns filled so far
+        if j == n:
+            return 1
+        if masks in memo:
+            return memo[masks]
+        total = 0
+
+        def cell(i, colmask, acc):
+            nonlocal total
+            if i == m:
+                total += fill(tuple(sorted(acc)))
+                return
+            avail = full & ~masks[i] & ~colmask
+            while avail:
+                b = avail & -avail
+                avail ^= b
+                cell(i + 1, colmask | b, acc + (masks[i] | b,))
+
+        cell(0, 1 << j, ())
+        memo[masks] = total
+        return total
+
+    return fill((0,) * m)
+
+
 def test_is_latin_examples():
     assert is_latin(SQUARE_3)
     assert is_latin(RECT_3x5)
@@ -87,6 +127,11 @@ def test_brute_force_matches_permutation_filter(k, n):
     assert brute_force_count(k, n) == permutation_filter_count(k, n)
 
 
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 5) for n in range(7)])
+def test_brute_force_matches_row_mask_search(k, n):
+    assert brute_force_count(k, n) == row_mask_count(k, n)
+
+
 def test_brute_force_examples():
     assert brute_force_count(2, 4) == 9
     assert brute_force_count(3, 3) == 2
@@ -117,6 +162,16 @@ def test_brute_force_guard():
 )
 def test_brute_force_up_to_n9_matches_the_formula(k, n, value):
     assert brute_force_count(k, n, max_n=n) == reduced_count(k, n).value == value
+
+
+def test_brute_force_past_the_default_guard():
+    assert brute_force_count(4, 8, max_n=8) == reduced_count(4, 8).value == 88390995840
+    assert brute_force_count(5, 6, max_k=5) == reduced_count(5, 6).value == 1128960
+    # an (n-1)-by-n rectangle completes uniquely to a square, so
+    # R_{n-1}(n) = R_n(n) = (Latin squares of order n) / n!  (OEIS A002860):
+    # 812,851,200 / 6! and 61,479,419,904,000 / 7!
+    assert brute_force_count(6, 6, max_k=6) == 1128960
+    assert brute_force_count(6, 7, max_k=6) == 12198297600
 
 
 def test_oracle_imports_nothing_from_the_formula_side():
