@@ -14,18 +14,22 @@ import time
 from math import factorial
 
 from . import bench, expressions, formulas, oracle, selftest
-from .guards import ResourceGuardError, max_terms_limit
+from .guards import ResourceGuardError
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line; `prog` names the parser that rejected it."""
+
+    def __init__(self, prog: str, message: str):
+        super().__init__(message)
+        self.prog = prog
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; the contract reserves 2 for
-    # resource guards, so route usage problems through exit code 1.
+    # resource guards, so hand usage problems to main, which exits 1
     def error(self, message):
-        raise UsageError(f"{self.prog}: error: {message}")
+        raise UsageError(self.prog, message)
 
 
 # argparse type functions raise ArgumentTypeError, so the parser reports
@@ -58,30 +62,26 @@ def _parse_single(text: str) -> int:
     return lo
 
 
-def _parse_threads(text: str) -> int:
-    # checked at parse time, so every method rejects the same values
+def _parse_positive(text: str) -> int:
+    # --threads, --max-terms, --max-k, --max-n: checked at parse time, so
+    # every method rejects the same values
     try:
-        threads = int(text)
+        value = int(text)
+        if value >= 1:
+            return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"need threads >= 1, got {threads}")
-    return threads
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
-def _parse_halls(text: str):
+def _parse_halls(text: str) -> list[tuple[int, int]]:
     halls = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        row, sep, floor = piece.partition(":")
-        if not sep:
-            raise UsageError(f"bad hall {piece!r}; expected row:floor")
+    for piece in filter(None, map(str.strip, text.split(","))):
+        row, _, floor = piece.partition(":")  # no ":" leaves floor empty
         try:
             halls.append((int(row), int(floor)))
         except ValueError:
-            raise UsageError(f"bad hall {piece!r}; expected row:floor") from None
+            raise argparse.ArgumentTypeError(f"bad hall {piece!r}; expected row:floor") from None
     return halls
 
 
@@ -91,7 +91,7 @@ def _emit(text: str, out_path):
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"latinrect: error: cannot write {out_path}: {exc.strerror}") from None
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -101,7 +101,7 @@ def _json_line(payload) -> str:
 
 
 def _count_payload(result: formulas.CountResult) -> dict:
-    payload = {
+    return {
         "k": result.k,
         "n": result.n,
         "variant": result.variant,
@@ -112,9 +112,6 @@ def _count_payload(result: formulas.CountResult) -> dict:
         "mults": str(result.stats.mults),
         "elapsed_ms": round(result.stats.elapsed * 1000.0, 3),
     }
-    if result.note:
-        payload["note"] = result.note
-    return payload
 
 
 def _render_count(result: formulas.CountResult, fmt: str) -> str:
@@ -122,17 +119,13 @@ def _render_count(result: formulas.CountResult, fmt: str) -> str:
         return _json_line(_count_payload(result))
     if fmt == "csv":
         p = _count_payload(result)
-        keys = ["k", "n", "variant", "method", "value", "terms", "adds", "mults", "elapsed_ms"]
-        return ",".join(keys) + "\n" + ",".join(str(p[key]) for key in keys) + "\n"
+        return ",".join(p) + "\n" + ",".join(map(str, p.values())) + "\n"
     label = "R" if result.variant == "reduced" else "L"
-    lines = [f"{label}_{result.k}({result.n}) = {result.value}"]
-    lines.append(
+    return (
+        f"{label}_{result.k}({result.n}) = {result.value}\n"
         f"method={result.method} terms={result.stats.terms} adds={result.stats.adds} "
-        f"mults={result.stats.mults} elapsed_ms={result.stats.elapsed * 1000.0:.3f}"
+        f"mults={result.stats.mults} elapsed_ms={result.stats.elapsed * 1000.0:.3f}\n"
     )
-    if result.note:
-        lines.append(f"note: {result.note}")
-    return "\n".join(lines) + "\n"
 
 
 def _default_threads() -> int:
@@ -145,22 +138,21 @@ def _cmd_count(args) -> int:
     method = args.method
     total_only = method in ("direct-L", "factorial-bridge")
     if args.reduced and total_only:
-        raise UsageError(f"--method {method} computes totals; drop --reduced")
+        raise ValueError(f"--method {method} computes totals; drop --reduced")
     variant = "total" if (args.total or total_only) else "reduced"
-    threads = _default_threads() if args.threads is None else args.threads
     if method == "formula" and variant == "total":
         method = "factorial-bridge"
     if method == "formula":
         result = formulas.reduced_count(
-            args.k, args.n, threads=threads, max_terms=args.max_terms
+            args.k, args.n, threads=args.threads, max_terms=args.max_terms
         )
     elif method == "factorial-bridge":
         result = formulas.total_count(
-            args.k, args.n, threads=threads, max_terms=args.max_terms
+            args.k, args.n, threads=args.threads, max_terms=args.max_terms
         )
     elif method == "direct-L":
         result = formulas.total_count_direct(
-            args.k, args.n, args.bracket, threads=threads, max_terms=args.max_terms
+            args.k, args.n, args.bracket, threads=args.threads, max_terms=args.max_terms
         )
     else:  # oracle
         start = time.perf_counter()
@@ -174,24 +166,20 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_expr(args) -> int:
-    try:
-        expr = expressions.generate_expression(args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    expr = expressions.generate_expression(args.k)
     _emit(expressions.render(expr, args.format) + "\n", args.out)
     return 0
 
 
 def _cmd_table(args) -> int:
     lo, hi = args.n
-    threads = _default_threads() if args.threads is None else args.threads
     rows = []
     for n in range(lo, hi + 1):
         if args.method == "oracle":
             reduced = oracle.brute_force_count(args.k, n)
         else:
             reduced = formulas.reduced_count(
-                args.k, n, threads=threads, max_terms=args.max_terms
+                args.k, n, threads=args.threads, max_terms=args.max_terms
             ).value
         rows.append((n, reduced, factorial(n) * reduced))
     if args.format == "json":
@@ -220,7 +208,7 @@ def _cmd_bench(args) -> int:
     out_path = args.out or args.csv  # the parser admits at most one
     fmt = args.format
     if args.csv and args.format == "json":
-        raise UsageError("--csv writes CSV; drop --format json or use --out")
+        raise ValueError("--csv writes CSV; drop --format json or use --out")
     if args.csv:
         fmt = "csv"
     sw = bench.sweep(args.k, range(lo, hi + 1), max_terms=args.max_terms)
@@ -241,9 +229,9 @@ def _cmd_oracle(args) -> int:
     if args.max_n is not None:
         guard["max_n"] = args.max_n
     if args.halls is not None:
-        halls = _parse_halls(args.halls)
         if args.total:
-            raise UsageError("--halls counts reduced configurations; drop --total")
+            raise ValueError("--halls counts reduced configurations; drop --total")
+        halls = args.halls
         value = oracle.lonely_hall_count(args.k, args.n, halls, **guard)
         profile = oracle.profile_of(halls, args.k, args.n)
         if args.format == "json":
@@ -329,8 +317,8 @@ def build_parser() -> _Parser:
         default="formula",
     )
     p_count.add_argument("--bracket", choices=["derived", "literal"], default="derived")
-    p_count.add_argument("--max-terms", type=int, default=None)
-    p_count.add_argument("--threads", type=_parse_threads, default=None)
+    p_count.add_argument("--max-terms", type=_parse_positive, default=None)
+    p_count.add_argument("--threads", type=_parse_positive, default=_default_threads())
     add_common(p_count, ["human", "json", "csv"], "human")
     p_count.set_defaults(fn=_cmd_count)
 
@@ -344,15 +332,15 @@ def build_parser() -> _Parser:
     p_table.add_argument("--k", type=int, required=True)
     p_table.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
     p_table.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    p_table.add_argument("--max-terms", type=int, default=None)
-    p_table.add_argument("--threads", type=_parse_threads, default=None)
+    p_table.add_argument("--max-terms", type=_parse_positive, default=None)
+    p_table.add_argument("--threads", type=_parse_positive, default=_default_threads())
     add_common(p_table, ["human", "json", "csv"], "human")
     p_table.set_defaults(fn=_cmd_table)
 
     p_bench = sub.add_parser("bench", help="operation-count sweep (single-threaded)")
     p_bench.add_argument("--k", type=int, required=True)
     p_bench.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
-    p_bench.add_argument("--max-terms", type=int, default=None)
+    p_bench.add_argument("--max-terms", type=_parse_positive, default=None)
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
     target = p_bench.add_mutually_exclusive_group()
     target.add_argument("--out", metavar="PATH", default=None)
@@ -367,12 +355,15 @@ def build_parser() -> _Parser:
     group.add_argument("--total", action="store_true")
     p_oracle.add_argument(
         "--halls",
+        type=_parse_halls,
         metavar="R:F,R:F,...",
         default=None,
         help="count configurations omitting these (row, floor) halls",
     )
-    p_oracle.add_argument("--max-k", type=int, default=None, help="raise the search guard")
-    p_oracle.add_argument("--max-n", type=int, default=None, help="raise the search guard")
+    for flag in ("--max-k", "--max-n"):
+        p_oracle.add_argument(
+            flag, type=_parse_positive, default=None, help="raise the search guard"
+        )
     add_common(p_oracle, ["human", "json"], "human")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
@@ -386,21 +377,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every failure is one stderr line printed here."""
     parser = build_parser()
+    prog = parser.prog
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "max_terms", None) is not None:
-            max_terms_limit(args.max_terms)  # validate early
+        prog = f"{prog} {args.command}"
         return args.fn(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"latinrect: error: {exc}", file=sys.stderr)
-        return 1
     except ResourceGuardError as exc:
-        print(f"latinrect: refused: {exc}", file=sys.stderr)
+        print(f"{prog}: refused: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a UsageError names the parser that raised it
+        print(f"{getattr(exc, 'prog', prog)}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:

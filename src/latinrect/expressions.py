@@ -44,6 +44,19 @@ class Expression:
     g_terms: tuple[GTerm, ...]
 
 
+def _expansion_size(m: int):
+    """Bell(m) for a refusal message, cut short like `guards.check_terms`.
+
+    Bell numbers increase, and B(25) is the first past PRINTABLE_TERMS, so
+    a larger m is reported as "more than" that bound after a few steps.
+    """
+    for i in range(m + 1):
+        size = partitions.bell_number(i)
+        if size > guards.PRINTABLE_TERMS:
+            return f"more than {guards.PRINTABLE_TERMS}"
+    return size
+
+
 def generate_expression(k: int, *, max_k: int = EXPRESSION_MAX_K) -> Expression:
     """Build the symbolic reduced-count formula for the given k.
 
@@ -58,7 +71,7 @@ def generate_expression(k: int, *, max_k: int = EXPRESSION_MAX_K) -> Expression:
     if k > max_k:
         raise guards.ResourceGuardError(
             f"expression generation refused at k={k} (ceiling {max_k}): "
-            f"the expansion would have {partitions.bell_number(k - 1)} terms"
+            f"the expansion would have {_expansion_size(k - 1)} terms"
         )
     m = k - 1
     q = 1 << m

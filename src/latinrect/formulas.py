@@ -47,7 +47,6 @@ class CountResult:
     method: str  # "formula" | "oracle" | "factorial-bridge" | "direct-L"
     value: int
     stats: EvalStats
-    note: str | None = None
 
 
 def _term(profile, columns, tally):

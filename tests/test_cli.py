@@ -92,29 +92,56 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, ["count", "--k", "3"])[0] == 1  # missing --n
     assert run(capsys, ["count", "--k", "3", "--n", "2..4"])[0] == 1
     assert run(capsys, ["count", "--k", "3", "--n", "3", "--method", "direct-L", "--reduced"])[0] == 1
-    assert run(capsys, ["frobnicate"])[0] == 1
+    code, out, err = run(capsys, ["frobnicate"])
+    assert code == 1 and out == ""
+    # no command parsed, so the message names the program alone
+    assert err.startswith("latinrect: error: ") and err.count("\n") == 1
     code, _, err = run(capsys, ["expr", "--k", "1"])
     assert code == 1
     assert "constant 1" in err
 
 
-def test_bad_n_is_reported_like_other_usage_errors(capsys):
+def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
+    # every usage error, whether the parser or the command finds it, is
+    # one stderr line naming the command
+    missing = tmp_path / "missing" / "x"
     for argv, message in (
-        (["count", "--k", "2", "--n", "3..a"], "bad range '3..a'; expected a..b"),
-        (["table", "--k", "2", "--n", "5..3"], "empty range '5..3'"),
-        (["oracle", "--k", "2", "--n", "2..3"], "this command takes a single n, not a range ('2..3')"),
-        (["bench", "--k", "2", "--n", "x"], "bad value 'x'; expected an integer or a..b"),
+        (["count", "--k", "2", "--n", "3..a"], "argument --n: bad range '3..a'; expected a..b"),
+        (["table", "--k", "2", "--n", "5..3"], "argument --n: empty range '5..3'"),
+        (["oracle", "--k", "2", "--n", "2..3"],
+         "argument --n: this command takes a single n, not a range ('2..3')"),
+        (["bench", "--k", "2", "--n", "x"],
+         "argument --n: bad value 'x'; expected an integer or a..b"),
+        (["bench", "--k", "2", "--n", "3..4", "--csv", str(tmp_path / "x"), "--format", "json"],
+         "--csv writes CSV; drop --format json or use --out"),
+        (["count", "--k", "3", "--n", "3", "--method", "direct-L", "--reduced"],
+         "--method direct-L computes totals; drop --reduced"),
+        (["oracle", "--k", "3", "--n", "4", "--halls", "2x"],
+         "argument --halls: bad hall '2x'; expected row:floor"),
+        (["oracle", "--k", "3", "--n", "4", "--halls", "2:1", "--total"],
+         "--halls counts reduced configurations; drop --total"),
+        (["expr", "--k", "1"],
+         "the reduced count for k = 1 is the constant 1; expressions start at k = 2"),
+        (["count", "--k", "0", "--n", "3"], "need k >= 1"),
+        (["count", "--k", "3", "--n", "3", "--max-terms", "0"],
+         "argument --max-terms: expected a positive integer, got '0'"),
+        (["oracle", "--k", "3", "--n", "4", "--max-k", "0"],
+         "argument --max-k: expected a positive integer, got '0'"),
+        (["count", "--k", "2", "--n", "3", "--out", str(missing)],
+         f"cannot write {missing}: No such file or directory"),
     ):
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert out == ""
-        assert err == f"latinrect {argv[0]}: error: argument --n: {message}\n"
+        assert err == f"latinrect {argv[0]}: error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_guard_exits_two(capsys):
-    code, _, err = run(capsys, ["count", "--k", "6", "--n", "40", "--max-terms", "1000"])
+    code, out, err = run(capsys, ["count", "--k", "6", "--n", "40", "--max-terms", "1000"])
     assert code == 2
-    assert "refused" in err
+    assert out == ""
+    assert err.startswith("latinrect count: refused: ") and err.count("\n") == 1
 
     code, _, err = run(capsys, ["oracle", "--k", "5", "--n", "5"])
     assert code == 2
@@ -228,6 +255,16 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
             assert err.count("\n") == 1 and str(target) in err
 
 
+def test_expr_refuses_huge_k_at_once(capsys):
+    # the refusal names Bell(k-1) only up to 10^18, so it never computes it
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["expr", "--k", "100000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("latinrect expr: refused: ") and err.count("\n") == 1
+    assert "more than 1000000000000000000 terms" in err
+
+
 def test_threads_flag_does_not_change_values(capsys):
     args = ["count", "--k", "3", "--n", "9", "--format", "json"]
     single = json.loads(run(capsys, args + ["--threads", "1"])[1])
@@ -322,6 +359,16 @@ def test_fuzzed_max_terms_exits_zero_one_or_two(text):
 def test_fuzzed_halls_exits_zero_one_or_two(text):
     argv = ["oracle", "--k", "3", "--n", "4", "--halls", text]
     assert _exit_code(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARG_TEXT)
+def test_fuzzed_parse_time_checks_exit_zero_one_or_two(text):
+    # a huge --k refuses at once; the oracle guards stay k=3 n=4 cheap
+    for argv in (["expr", "--k", text],
+                 ["oracle", "--k", "3", "--n", "4", "--max-k", text],
+                 ["oracle", "--k", "3", "--n", "4", "--max-n", text]):
+        assert _exit_code(argv) in (0, 1, 2), argv
 
 
 def _as_int(text):

@@ -54,9 +54,14 @@ def test_expansion_sizes_match_bell_numbers():
 def test_generation_refusals():
     with pytest.raises(ValueError, match="constant 1"):
         generate_expression(1)
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="would have 4140 terms"):
         generate_expression(9)
     assert generate_expression(9, max_k=9).k == 9
+    # Bell(k-1) is named while it is at most 10^18, B(25) is past it
+    with pytest.raises(ResourceGuardError, match="would have 445958869294805289 terms"):
+        generate_expression(25)
+    with pytest.raises(ResourceGuardError, match="more than 1000000000000000000 terms"):
+        generate_expression(26)
 
 
 def test_render_is_deterministic():

