@@ -276,6 +276,7 @@ def _cmd_selftest(args) -> int:
                     "checks": s.checks,
                     "failures": s.failures,
                     "counterexample": s.counterexample,
+                    "elapsed_ms": round(s.elapsed * 1000.0, 3),
                 }
                 for s in report.suites
             ],

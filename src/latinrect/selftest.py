@@ -6,6 +6,7 @@ cases first so the counterexample reported on a mismatch is minimal.
 """
 
 import random
+import time
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -24,6 +25,7 @@ class SuiteResult:
     checks: int = 0
     failures: int = 0
     counterexample: str | None = None
+    elapsed: float = 0.0  # seconds
 
     def record(self, ok: bool, detail: str) -> None:
         self.checks += 1
@@ -80,9 +82,9 @@ def _suite_formula_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
 def _suite_config_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
     """Exhaustive over all hall sets while that is feasible, sampled beyond.
 
-    Exhausting 2^((k-1)n) hall sets with up to product-exponential
-    enumeration per set stops being a self test around n = 5, so larger
-    n fall back to seeded random hall sets.
+    The oracle's cost per hall set grows linearly in n, but the number
+    of hall sets is 2^((k-1)n), so exhausting them stops being a self
+    test around n = 5 and larger n fall back to seeded random hall sets.
     """
     suite = SuiteResult("profile-count-vs-hall-oracle")
     max_k = min(max_k, oracle.LONELY_HALL_MAX_K)
@@ -145,10 +147,12 @@ def _suite_zero_rule(max_k: int) -> SuiteResult:
     return suite
 
 
-def _suite_closed_forms(max_n: int) -> tuple[SuiteResult, list[str]]:
-    """Two-row sanity counts with known closed forms, plus the two-hall probe."""
+def _suite_closed_forms(max_n: int, notes: list[str]) -> SuiteResult:
+    """Two-row sanity counts with known closed forms, plus the two-hall probe.
+
+    The probe's verdict is appended to `notes`.
+    """
     suite = SuiteResult("two-row-closed-forms")
-    notes = []
     top = min(max(max_n, 5), oracle.LONELY_HALL_MAX_N)
     for n in range(1, top + 1):
         empty = oracle.lonely_hall_count(2, n)
@@ -182,18 +186,26 @@ def _suite_closed_forms(max_n: int) -> tuple[SuiteResult, list[str]]:
                     f"two omitted halls at n=5: oracle count {got} matches "
                     f"(n-2)^2*(n-3)^(n-3)"
                 )
-    return suite, notes
+    return suite
 
 
 def run_selftest(*, max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> SelftestReport:
-    """Run every suite at the given depth; smallest cases first."""
+    """Run every suite at the given depth, timing each; smallest cases first."""
     if max_k < 2 or max_n < 1:
         raise ValueError("selftest depth needs max_k >= 2 and max_n >= 1")
-    suites = [_suite_derangements(max(max_n, 6))]
-    suites.append(_suite_formula_vs_oracle(min(max_k + 1, 4), max_n))
-    suites.append(_suite_config_vs_oracle(min(max_k, 3), max_n))
-    suites.append(_suite_bracket_variants(max_n))
-    suites.append(_suite_zero_rule(max_k))
-    closed, notes = _suite_closed_forms(max_n)
-    suites.append(closed)
+    notes: list[str] = []
+    runs = (
+        lambda: _suite_derangements(max(max_n, 6)),
+        lambda: _suite_formula_vs_oracle(min(max_k + 1, 4), max_n),
+        lambda: _suite_config_vs_oracle(min(max_k, 3), max_n),
+        lambda: _suite_bracket_variants(max_n),
+        lambda: _suite_zero_rule(max_k),
+        lambda: _suite_closed_forms(max_n, notes),
+    )
+    suites = []
+    for run in runs:
+        start = time.perf_counter()
+        suite = run()
+        suite.elapsed = time.perf_counter() - start
+        suites.append(suite)
     return SelftestReport(suites=tuple(suites), notes=tuple(notes))

@@ -24,3 +24,13 @@ def test_benchmark_environment_and_setup_probe_run(monkeypatch):
         tables = workloads.tables(workloads.all_requests(name))
         assert tables["factorial"] and tables["expansion"]
         probe.build(latinrect, tables)
+
+
+def test_default_selftest_report_passes_the_benchmark_check(monkeypatch, capsys):
+    # the verify workload fullmatches each "suite NAME: N checks, M failures"
+    # line; a drift in that format would silently drop verify's ok_share
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert latinrect.cli.main(["selftest"]) == 0
+    assert workloads.check_selftest(capsys.readouterr().out) is None

@@ -265,6 +265,16 @@ def test_expr_refuses_huge_k_at_once(capsys):
     assert "more than 1000000000000000000 terms" in err
 
 
+def test_oracle_refuses_huge_relabeling_tables_at_once(capsys):
+    # k=10^6 once overflowed building 2^k-entry tables; k=12 would build 11!
+    for k in ("1000000", "12"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["oracle", "--k", k, "--n", "4", "--max-k", k])
+        assert time.perf_counter() - start < 1.0, k
+        assert code == 2 and out == "", k
+        assert err.startswith("latinrect oracle: refused: ") and err.count("\n") == 1, k
+
+
 def test_threads_flag_does_not_change_values(capsys):
     args = ["count", "--k", "3", "--n", "9", "--format", "json"]
     single = json.loads(run(capsys, args + ["--threads", "1"])[1])

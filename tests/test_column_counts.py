@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from latinrect.column_counts import block_sum, choice_count, config_count, shift_profile
-from latinrect.oracle import injective_tuple_count, lonely_hall_count
+from latinrect.oracle import injective_tuple_count, lonely_hall_count, profile_of
 from latinrect.profiles import compositions
 
 # m = 3 profile with two floors fully open, one with each single row omitted
@@ -102,3 +104,14 @@ def test_config_count_rejects_negative_entries():
 def test_config_count_agrees_with_hall_oracle_spot():
     # no omitted halls, k = 3, n = 4: profile (4,0,0,0)
     assert config_count((4, 0, 0, 0)) == lonely_hall_count(3, 4)
+
+
+@pytest.mark.parametrize("k,n", [(4, n) for n in (5, 6, 7)] + [(3, n) for n in range(7, 11)])
+def test_config_count_agrees_with_hall_oracle_past_its_guard(k, n):
+    # the oracle's cost grows linearly in n, so its guard can be raised
+    rng = random.Random(100 * k + n)
+    universe = [(row, floor) for row in range(2, k + 1) for floor in range(1, n + 1)]
+    for _ in range(20):
+        halls = [h for h in universe if rng.random() < 0.5]
+        want = lonely_hall_count(k, n, halls, max_k=k, max_n=n)
+        assert config_count(profile_of(halls, k, n)) == want, sorted(halls)

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from math import factorial
 from pathlib import Path
 
@@ -74,6 +75,40 @@ def row_mask_count(k, n):
     return fill((0,) * m)
 
 
+def every_configuration_count(k, n, halls=()):
+    """Reference hall count: every configuration visited one at a time.
+
+    Fills columns left to right and re-runs the search of column j+1 for
+    every pick tuple of column j, so its cost is the count itself.  It
+    never multiplies column counts, so it checks the oracle's product.
+    """
+    full = (1 << n) - 1
+    blocked = [0] * (k + 1)
+    for row, floor in halls:
+        blocked[row] |= 1 << (floor - 1)
+
+    def column(j):
+        if j == n:
+            return 1
+        total = 0
+
+        def pick(i, colmask):
+            nonlocal total
+            if i > k:
+                total += column(j + 1)
+                return
+            avail = full & ~blocked[i] & ~colmask
+            while avail:
+                b = avail & -avail
+                avail ^= b
+                pick(i + 1, colmask | b)
+
+        pick(2, 1 << j)
+        return total
+
+    return column(0)
+
+
 def test_is_latin_examples():
     assert is_latin(SQUARE_3)
     assert is_latin(RECT_3x5)
@@ -146,6 +181,10 @@ def test_brute_force_guard():
     with pytest.raises(ResourceGuardError):
         brute_force_count(3, 8)
     assert brute_force_count(5, 5, max_k=5) == 1344  # guard is configurable
+    # a raised k guard still refuses the memo's relabeling tables past k=7
+    assert brute_force_count(7, 4, max_k=7) == 0
+    with pytest.raises(ResourceGuardError, match="7! row relabelings"):
+        brute_force_count(8, 3, max_k=8)
     with pytest.raises(ValueError):
         brute_force_count(0, 3)
     with pytest.raises(ValueError):
@@ -195,6 +234,22 @@ def test_lonely_hall_examples():
     assert lonely_hall_count(2, 4, {(2, 2)}) == 24
     assert lonely_hall_count(2, 4, {(2, 1), (2, 2)}) == 4
     assert lonely_hall_count(2, 5, {(2, 1), (2, 2)}) == 72
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in range(5)])
+def test_lonely_hall_matches_every_configuration_on_every_hall_set(k, n):
+    for halls in hall_sets(k, n):
+        assert lonely_hall_count(k, n, halls) == every_configuration_count(k, n, halls)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_lonely_hall_matches_every_configuration_on_random_hall_sets(n):
+    # the reference's cost is the count, up to 20^6 with no halls at n=6;
+    # each row omitting half its floors keeps every count under 9^6
+    rng = random.Random(n)
+    for _ in range(50):
+        halls = {(row, floor) for row in (2, 3) for floor in rng.sample(range(1, n + 1), n // 2)}
+        assert lonely_hall_count(3, n, halls) == every_configuration_count(3, n, halls), sorted(halls)
 
 
 def test_lonely_hall_guard_and_validation():

@@ -1,3 +1,6 @@
+import json
+import time
+
 import pytest
 
 import latinrect.column_counts as column_counts
@@ -58,3 +61,19 @@ def test_cli_selftest_exit_codes(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "counterexample" in captured.err
     assert "k=2 n=2" in captured.err
+
+
+def test_selftest_json_reports_time_per_suite(capsys):
+    assert main(["selftest", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"]
+    for suite in payload["suites"]:
+        assert isinstance(suite["elapsed_ms"], float) and suite["elapsed_ms"] >= 0
+
+
+def test_deep_selftest_finishes(capsys):
+    # the hall oracle is linear in n; every suite clamps n, so n=100 is cheap
+    start = time.perf_counter()
+    assert main(["selftest", "--k", "3", "--n", "100"]) == 0
+    assert time.perf_counter() - start < 3.0
+    assert capsys.readouterr().out.endswith("selftest: OK\n")
