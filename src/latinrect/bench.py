@@ -28,8 +28,7 @@ squares to log(series total) against log(n) for each series.
 
 import json
 import math
-import statistics
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import formulas, guards
 from .tallies import OpTally
@@ -38,23 +37,13 @@ CSV_HEADER = "k,n,terms,adds,mults_actual,mults_paper_model,elapsed_ms"
 FIT_SERIES = ("terms", "adds", "mults_actual", "mults_paper_model")
 
 
-@dataclass(frozen=True)
-class CostReport:
-    k: int
-    n: int
-    terms: int
-    adds: int
-    mults_actual: int
-    mults_paper_model: int
-    mults_inner: int
-    elapsed: float
+CostReport = namedtuple(
+    "CostReport", "k n terms adds mults_actual mults_paper_model mults_inner elapsed"
+)
 
-
-@dataclass(frozen=True)
-class Sweep:
-    reports: tuple[CostReport, ...]
-    # per-series fitted exponent; None when a series has < 2 usable points
-    exponents: dict
+# reports: one CostReport per n; exponents: per-series fitted exponent,
+# None when a series has < 2 usable points
+Sweep = namedtuple("Sweep", "reports exponents")
 
 
 def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
@@ -81,6 +70,8 @@ def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
 
 def fitted_exponents(reports) -> dict:
     """OLS slope of log(series) vs log(n), per series; None if degenerate."""
+    import statistics  # only sweeps fit, so a plain count never loads it
+
     out = {}
     for name in FIT_SERIES:
         points = [(r.n, getattr(r, name)) for r in reports]

@@ -10,7 +10,7 @@ every class, factor and block sum is spelled out, which keeps
 `evaluate_expression` a direct transcription of the tree.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import guards, partitions, profiles
 from .tallies import powered
@@ -18,30 +18,13 @@ from .tallies import powered
 EXPRESSION_MAX_K = 8
 
 
-@dataclass(frozen=True)
-class GTerm:
-    """One partition's contribution: coefficient times a product of block sums."""
+GTerm = namedtuple("GTerm", "coefficient blocks")
+GTerm.__doc__ = "One partition's contribution: coefficient times a product of block sums."
 
-    coefficient: int
-    blocks: tuple[tuple[int, ...], ...]
+Factor = namedtuple("Factor", "cls deltas")
+Factor.__doc__ = "The class-`cls` factor: choice polynomial at shifted arguments, power s_cls."
 
-
-@dataclass(frozen=True)
-class Factor:
-    """The class-`cls` factor: choice polynomial at shifted arguments, power s_cls."""
-
-    cls: int
-    deltas: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Expression:
-    k: int
-    m: int
-    class_labels: tuple[str, ...]
-    sign_weights: tuple[int, ...]
-    factors: tuple[Factor, ...]
-    g_terms: tuple[GTerm, ...]
+Expression = namedtuple("Expression", "k m class_labels sign_weights factors g_terms")
 
 
 def _expansion_size(m: int):

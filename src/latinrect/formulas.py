@@ -11,13 +11,12 @@ classes of all k rows.  All arithmetic is exact integers end to end.
 
 Evaluation is serial unless threads > 1; the pool then sums fixed-size
 chunks and combines them in stream order, so values and statistics never
-depend on the thread count.
+depend on the thread count.  The pool's module is imported only then, so
+a serial run never loads it.
 """
 
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import partial
 from itertools import islice
 from math import factorial
@@ -29,24 +28,12 @@ _CHUNK = 1024
 _WINDOW = 8  # most chunks held in flight by the pool, whatever its thread count
 
 
-@dataclass(frozen=True)
-class EvalStats:
-    """Term count, real operation counts, and wall time of one evaluation."""
+EvalStats = namedtuple("EvalStats", "terms adds mults elapsed")
+EvalStats.__doc__ = "Term count, real operation counts, and wall time of one evaluation."
 
-    terms: int
-    adds: int
-    mults: int
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class CountResult:
-    k: int
-    n: int
-    variant: str  # "reduced" | "total"
-    method: str  # "formula" | "oracle" | "factorial-bridge" | "direct-L"
-    value: int
-    stats: EvalStats
+# variant: "reduced" | "total"
+# method: "formula" | "oracle" | "factorial-bridge" | "direct-L"
+CountResult = namedtuple("CountResult", "k n variant method value stats")
 
 
 def _term(profile, columns, tally):
@@ -75,6 +62,8 @@ def _sum_chunk(chunk, columns):
 
 def _pooled_sum(stream, columns, threads, tally):
     """`_sum_terms` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
+    from concurrent.futures import ThreadPoolExecutor
+
     total = 0
     terms = 0
     window = deque()
@@ -176,6 +165,17 @@ def reduced_count(
     k = 1 gives 1 for every n (single empty-class profile), and the sum
     comes out 0 whenever 1 <= n < k because every term vanishes; both
     fall out of the formula rather than being special-cased.
+
+    Why every term vanishes: G(s) counts the configurations in which
+    each column j gives rows 2..k distinct floors, none of them j (the
+    back row's floor there) and none a hall of the omitted set.  Let T
+    be a nonempty set of rows 2..k, and S_T the sum over classes u ⊇ T
+    of s_u: the floors closed to every row of T.  If S_T >= n - |T|,
+    then G(s) = 0.  Either S_T = n, and every floor is closed to T; or
+    some floor j lies outside those S_T floors, and in column j the rows
+    of T may use at most n - S_T - 1 < |T| floors.  Either way, by
+    Hall's theorem, some column (there is one, as n >= 1) has no picks.
+    Take T = rows 2..k: S_T = s_{1..1} >= 0 >= n - (k - 1) when n < k.
     """
     return _evaluate("formula", k, n, threads=threads, max_terms=max_terms, tally=OpTally())
 

@@ -15,10 +15,10 @@ Class labels render the bits in index order, so for m = 2 the classes
 order with an in-place increment, which is O(1) amortized per step.
 """
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import perm
 from operator import itemgetter
-from typing import Iterator
 
 from .tallies import OpTally
 

@@ -5,9 +5,7 @@ formulas against each other) at a configurable depth, iterating smallest
 cases first so the counterexample reported on a mismatch is minimal.
 """
 
-import random
 import time
-from dataclasses import dataclass, field
 from math import factorial
 
 from . import column_counts, formulas, oracle
@@ -19,13 +17,13 @@ RANDOM_HALL_SAMPLES = 25
 _SEED = 812851200
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: int = 0
-    counterexample: str | None = None
-    elapsed: float = 0.0  # seconds
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures = 0
+        self.counterexample: str | None = None
+        self.elapsed = 0.0  # seconds
 
     def record(self, ok: bool, detail: str) -> None:
         self.checks += 1
@@ -35,10 +33,10 @@ class SuiteResult:
                 self.counterexample = detail
 
 
-@dataclass
 class SelftestReport:
-    suites: tuple[SuiteResult, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    def __init__(self, suites: tuple[SuiteResult, ...], notes: tuple[str, ...] = ()):
+        self.suites = suites
+        self.notes = notes
 
     @property
     def ok(self) -> bool:
@@ -99,6 +97,8 @@ def _suite_config_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
                     f"k={k} n={n} halls={sorted(halls)}: profile formula={got} oracle={want}",
                 )
     if max_k >= 3:
+        import random  # only the sampled hall sets need it
+
         rng = random.Random(_SEED)
         top = min(max(max_n + 1, 5), oracle.LONELY_HALL_MAX_N)
         for n in range(exhaustive_n + 1, top + 1):

@@ -13,18 +13,28 @@ additions in ``adds``.  Quotients of factorial-table entries count as
 multiplications (same cost class).
 """
 
-from dataclasses import dataclass
 from math import prod
 
 
-@dataclass
 class OpTally:
     """Mutable counters; confined to one evaluation context."""
 
-    adds: int = 0
-    mults_inner: int = 0
-    mults_assembly: int = 0
-    mults_assembly_naive: int = 0
+    __slots__ = ("adds", "mults_inner", "mults_assembly", "mults_assembly_naive")
+
+    def __init__(self, adds=0, mults_inner=0, mults_assembly=0, mults_assembly_naive=0):
+        self.adds = adds
+        self.mults_inner = mults_inner
+        self.mults_assembly = mults_assembly
+        self.mults_assembly_naive = mults_assembly_naive
+
+    def __eq__(self, other):
+        if not isinstance(other, OpTally):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"OpTally({fields})"
 
     @property
     def mults_total(self) -> int:

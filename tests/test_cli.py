@@ -6,7 +6,6 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinrect import formulas
 from latinrect.cli import main
 from latinrect.guards import MAX_TERMS_ENV
 
@@ -326,7 +325,7 @@ def test_default_threads_do_not_start_the_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the default run started a thread pool")
 
-    monkeypatch.setattr(formulas, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     code, out, _ = run(capsys, ["count", "--k", "4", "--n", "6", "--format", "json"])
     assert code == 0
     assert json.loads(out)["value"] == "393120"

@@ -115,3 +115,15 @@ def test_config_count_agrees_with_hall_oracle_past_its_guard(k, n):
         halls = [h for h in universe if rng.random() < 0.5]
         want = lonely_hall_count(k, n, halls, max_k=k, max_n=n)
         assert config_count(profile_of(halls, k, n)) == want, sorted(halls)
+
+
+def test_every_term_vanishes_when_n_is_below_k():
+    # Hall's condition fails for T = rows 2..k (see `reduced_count`), so
+    # G is zero on every profile, not only in the signed sum
+    checked = 0
+    for k in range(2, 6):
+        for n in range(1, k):
+            for profile in compositions(n, k - 1):
+                assert config_count(profile) == 0, (k, n, profile)
+                checked += 1
+    assert checked == 5024

@@ -165,7 +165,7 @@ def test_pool_window_is_capped_whatever_the_thread_count(monkeypatch):
         pools.append(_RecordingExecutor(max_workers))
         return pools[-1]
 
-    monkeypatch.setattr(formulas, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", recording_pool)
     pooled = reduced_count(3, 60, threads=1000)
     (pool,) = pools
     assert pool.submitted == 39  # C(63, 3) profiles in chunks of 1024
