@@ -139,6 +139,8 @@ def _cmd_count(args) -> int:
     total_only = method in ("direct-L", "factorial-bridge")
     if args.reduced and total_only:
         raise ValueError(f"--method {method} computes totals; drop --reduced")
+    if args.bracket == "literal" and method != "direct-L":
+        raise ValueError(f"--bracket literal applies to --method direct-L only, not {method}")
     variant = "total" if (args.total or total_only) else "reduced"
     if method == "formula" and variant == "total":
         method = "factorial-bridge"

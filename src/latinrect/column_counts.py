@@ -7,7 +7,8 @@ inclusion-exclusion over coincidence patterns of the rows, i.e. a sum
 over set partitions of the row set weighted by the signed coefficients
 from `partitions`.  Partitions share blocks, so the expansion for m
 rows is compiled once into straight-line code that adds up each
-distinct block sum once (`_kernel`).  `config_count` multiplies
+distinct block sum once (`_kernel`); `direct_term` compiles the same
+code into a whole direct-L term.  `config_count` multiplies
 per-column counts over a whole profile; the floor carrying the column's
 back-row pick is handled by shifting one floor into the fully-omitted
 class first.
@@ -19,7 +20,7 @@ ground elements 1..m of the partitions.
 
 from functools import lru_cache
 
-from . import partitions
+from . import partitions, profiles
 from .tallies import OpTally, assembly_product, powered
 
 
@@ -43,25 +44,15 @@ def _expansion(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _kernel(q: int):
-    """g for profiles of length q = 2^m, compiled once: (function, adds, mults).
+def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
+    """g over `_expansion(m)` as straight-line code: (lines, polynomial, adds, mults).
 
-    The function is straight-line code over `_expansion(m)`: it adds up
-    each distinct block sum once, then combines the partitions.  At
-    m = 2 its source is
-
-        def g(c):
-            b1 = c[0] + c[2]
-            b2 = c[0] + c[1]
-            b3 = c[0]
-            return b1 * b2 - b3
-
-    adds and mults are the additions and inner multiplications one call
-    performs; a coefficient of -1 is a subtraction, not a multiplication.
+    The lines bind each distinct block sum once, as b<mask>; the
+    polynomial combines them over the partitions.  adds and mults are
+    the additions and inner multiplications the code performs; a
+    coefficient of -1 is a subtraction, not a multiplication.
     """
-    m = _tracked_rows(q)
-    lines = ["def g(c):"]
+    lines = []
     summed = set()
     terms = []
     adds = mults = 0
@@ -78,10 +69,82 @@ def _kernel(q: int):
         mults += max(len(factors) - 1, 0)
         terms.append(("- " if coeff < 0 else "+ ") + (" * ".join(factors) or "1"))
     adds += len(terms) - 1
-    lines.append("    return " + " ".join(terms).removeprefix("+ "))
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["g"], adds, mults
+    return tuple(lines), " ".join(terms).removeprefix("+ "), adds, mults
+
+
+def _kernel_source(q: int) -> tuple[str, int, int]:
+    lines, poly, adds, mults = _g_source(_tracked_rows(q))
+    return "\n".join(["def g(c):", *lines, f"    return {poly}"]), adds, mults
+
+
+def _term_source(q: int, bracket: str) -> tuple[str, int, int]:
+    if bracket == "literal":
+        # the bracket as printed, with the fully-omitted class subtracted
+        # instead of the fully-open one
+        lines, poly, adds, mults = (), "(c[0] + c[1]) * (c[0] + c[2]) - c[3]", 3, 1
+    else:
+        lines, poly, adds, mults = _g_source(_tracked_rows(q))
+    odd = " + ".join(f"c[{cls}]" for cls in range(q) if profiles.class_weight(cls) & 1)
+    source = "\n".join([
+        "def term(c, n):",
+        *lines,
+        f"    t = ({poly}) ** n * profiles.multinomial(c)",
+        f"    return -t if ({odd}) & 1 else t",
+    ])
+    return source, adds, mults
+
+
+def _compiled(source: str, name: str):
+    namespace = {"profiles": profiles}
+    exec(source, namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _kernel(q: int):
+    """g for profiles of length q = 2^m, compiled once: (function, adds, mults).
+
+    The function is `_g_source(m)`'s straight-line code: it adds up each
+    distinct block sum once, then combines the partitions.  At m = 2 its
+    source is
+
+        def g(c):
+            b1 = c[0] + c[2]
+            b2 = c[0] + c[1]
+            b3 = c[0]
+            return b1 * b2 - b3
+
+    and `direct_term` builds the direct-L term from the same code:
+
+        def term(c, n):
+            b1 = c[0] + c[2]
+            b2 = c[0] + c[1]
+            b3 = c[0]
+            t = (b1 * b2 - b3) ** n * profiles.multinomial(c)
+            return -t if (c[1] + c[2]) & 1 else t
+
+    adds and mults are the additions and inner multiplications one call
+    of g performs.
+    """
+    source, adds, mults = _kernel_source(q)
+    return _compiled(source, "g"), adds, mults
+
+
+@lru_cache(maxsize=None)
+def direct_term(q: int, bracket: str = "derived"):
+    """One direct-L term for profiles of length q = 2^k, compiled once: (function, adds, mults).
+
+    `term(c, n)` is sign(c) * multinomial(c) * bracket(c) ** n, where the
+    bracket is g over all k rows (`_kernel`'s polynomial) or, for k = 2
+    and bracket "literal", (c0 + c1)(c0 + c2) - c3.  The sign is the
+    parity of the entries in classes of odd weight, as in
+    `profiles.sign`.  adds and mults are the additions and inner
+    multiplications one call performs apart from the power: the
+    bracket's, and one multiplication per class for the multinomial, as
+    `profiles.multinomial` tallies it.
+    """
+    source, adds, mults = _term_source(q, bracket)
+    return _compiled(source, "term"), adds, mults + q
 
 
 def _tracked_rows(q: int) -> int:

@@ -9,6 +9,11 @@ rows 2..k, `total_count` multiplies the sum by n!, and
 `total_count_direct` raises one bracket to the n-th power over the 2^k
 classes of all k rows.  All arithmetic is exact integers end to end.
 
+Each direct-L term is one call of a function compiled once per k
+(`column_counts.direct_term`): block sums, bracket, power, multinomial
+and sign.  Its op counts are fixed once k and n are, so they are added
+once per sum as terms x per-term cost.
+
 Evaluation is serial unless threads > 1; the pool then sums fixed-size
 chunks and combines them in stream order, so values and statistics never
 depend on the thread count.  The pool's module is imported only then, so
@@ -22,7 +27,7 @@ from itertools import islice
 from math import factorial
 
 from . import column_counts, guards, profiles
-from .tallies import OpTally, powered
+from .tallies import OpTally, powered  # noqa: F401  perfbench traces formulas.powered
 
 _CHUNK = 1024
 _WINDOW = 8  # most chunks held in flight by the pool, whatever its thread count
@@ -36,17 +41,13 @@ EvalStats.__doc__ = "Term count, real operation counts, and wall time of one eva
 CountResult = namedtuple("CountResult", "k n variant method value stats")
 
 
-def _term(profile, columns, tally):
-    term = profiles.multinomial(profile, tally) * columns(profile, tally)
-    return term if profiles.sign(profile) > 0 else -term
-
-
-def _sum_terms(stream, columns, tally):
-    """Exact sum of the terms of `stream`'s profiles: (value, terms)."""
+def _reduced_sum(stream, tally):
+    """Exact sum of the reduced terms of `stream`'s profiles: (value, terms)."""
     total = 0
     terms = 0
     for profile in stream:
-        total += _term(profile, columns, tally)
+        term = profiles.multinomial(profile, tally) * column_counts.config_count(profile, tally)
+        total += term if profiles.sign(profile) > 0 else -term
         terms += 1
     # per term: multinomial x columns, and adding it to the total
     tally.mults_inner += terms
@@ -54,14 +55,37 @@ def _sum_terms(stream, columns, tally):
     return total, terms
 
 
-def _sum_chunk(chunk, columns):
+def _direct_sum(kernel, n, stream, tally):
+    """Exact sum of the direct-L terms of `stream`'s profiles: (value, terms).
+
+    `kernel` is `column_counts.direct_term`'s (term, adds, mults).  A
+    term's op counts are fixed once k and n are, so they are tallied once,
+    as terms x per-term cost.
+    """
+    term, adds, mults = kernel
+    total = 0
+    terms = 0
+    for profile in stream:
+        total += term(profile, n)
+        terms += 1
+    # per term: the kernel's own ops, one add and one mult for the sum,
+    # and g ** n as `tallies.powered` counts it
+    tally.adds += terms * (adds + 1)
+    tally.mults_inner += terms * (mults + 1)
+    if n:
+        tally.mults_assembly += terms * (n.bit_length() + n.bit_count() - 2)
+        tally.mults_assembly_naive += terms * (n - 1)
+    return total, terms
+
+
+def _sum_chunk(chunk, sum_terms):
     # runs on a pool worker, so the chunk's tally is made on that thread
     tally = OpTally()
-    return (*_sum_terms(chunk, columns, tally), tally)
+    return (*sum_terms(chunk, tally), tally)
 
 
-def _pooled_sum(stream, columns, threads, tally):
-    """`_sum_terms` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
+def _pooled_sum(stream, sum_terms, threads, tally):
+    """`sum_terms` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
     from concurrent.futures import ThreadPoolExecutor
 
     total = 0
@@ -73,28 +97,13 @@ def _pooled_sum(stream, columns, threads, tally):
         # the thread count; the window bounds memory on long streams
         while (chunk := list(islice(stream, _CHUNK))) or window:
             if chunk:
-                window.append(pool.submit(_sum_chunk, chunk, columns))
+                window.append(pool.submit(_sum_chunk, chunk, sum_terms))
             if not chunk or len(window) >= _WINDOW:
                 sub, count, sub_tally = window.popleft().result()
                 total += sub
                 terms += count
                 tally.merge(sub_tally)
     return total, terms
-
-
-def _literal_bracket(profile, tally):
-    # k = 2 only: bracket printed with the fully-omitted class subtracted
-    # instead of the fully-open one.
-    a = profile[0] + profile[1]
-    b = profile[0] + profile[2]
-    prod = a * b
-    tally.adds += 3
-    tally.mults_inner += 1
-    return prod - profile[3]
-
-
-def _powered_bracket(bracket, n, profile, tally):
-    return powered(bracket(profile, tally), n, tally)
 
 
 def _evaluate(
@@ -123,21 +132,23 @@ def _evaluate(
         if bracket == "literal" and k != 2:
             raise ValueError("the literal bracket variant is defined for k = 2 only")
         m = k
-        base = _literal_bracket if bracket == "literal" else column_counts.choice_count
-        columns = partial(_powered_bracket, base, n)
         what = "direct total count"
     else:
         m = k - 1
-        columns = column_counts.config_count
         what = "reduced count"
+    # the guard comes first, so a refused run compiles no kernel
     guards.check_terms(n, 1 << m, max_terms, f"{what} for k={k}, n={n}")
+    if method == "direct-L":
+        sum_terms = partial(_direct_sum, column_counts.direct_term(1 << k, bracket), n)
+    else:
+        sum_terms = _reduced_sum
 
     start = time.perf_counter()
     stream = profiles.compositions(n, m)
     if threads == 1:
-        value, terms = _sum_terms(stream, columns, tally)
+        value, terms = sum_terms(stream, tally)
     else:
-        value, terms = _pooled_sum(stream, columns, threads, tally)
+        value, terms = _pooled_sum(stream, sum_terms, threads, tally)
     elapsed = time.perf_counter() - start
 
     bridged = method == "factorial-bridge"
@@ -218,6 +229,8 @@ def total_count_direct(
 
     Each term raises one per-column bracket to the n-th power; brackets
     may be negative along the way, which is fine for exact integers.
+    Each term is one call of `column_counts.direct_term`, compiled once
+    per k, and its op counts are added once as terms x per-term cost.
     `bracket` picks, for k = 2 only, between the partition-derived
     bracket (... - s00) and the literal variant (... - s11); the two
     sums agree everywhere they have been compared.

@@ -115,6 +115,12 @@ def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
          "--csv writes CSV; drop --format json or use --out"),
         (["count", "--k", "3", "--n", "3", "--method", "direct-L", "--reduced"],
          "--method direct-L computes totals; drop --reduced"),
+        (["count", "--k", "2", "--n", "5", "--bracket", "literal"],
+         "--bracket literal applies to --method direct-L only, not formula"),
+        (["count", "--k", "3", "--n", "5", "--method", "oracle", "--bracket", "literal"],
+         "--bracket literal applies to --method direct-L only, not oracle"),
+        (["count", "--k", "2", "--n", "5", "--method", "factorial-bridge", "--bracket", "literal"],
+         "--bracket literal applies to --method direct-L only, not factorial-bridge"),
         (["oracle", "--k", "3", "--n", "4", "--halls", "2x"],
          "argument --halls: bad hall '2x'; expected row:floor"),
         (["oracle", "--k", "3", "--n", "4", "--halls", "2:1", "--total"],

@@ -1,10 +1,20 @@
 import random
+import textwrap
 
 import pytest
 
-from latinrect.column_counts import block_sum, choice_count, config_count, shift_profile
+from latinrect.column_counts import (
+    _kernel,
+    _kernel_source,
+    _term_source,
+    block_sum,
+    choice_count,
+    config_count,
+    direct_term,
+    shift_profile,
+)
 from latinrect.oracle import injective_tuple_count, lonely_hall_count, profile_of
-from latinrect.profiles import compositions
+from latinrect.profiles import compositions, multinomial, sign
 
 # m = 3 profile with two floors fully open, one with each single row omitted
 # pattern as written t000=2, t010=1, t001=1, t011=1 -> class indices 0,2,4,6
@@ -127,3 +137,41 @@ def test_every_term_vanishes_when_n_is_below_k():
                 assert config_count(profile) == 0, (k, n, profile)
                 checked += 1
     assert checked == 5024
+
+
+def test_direct_term_is_signed_multinomial_times_powered_bracket():
+    # the generated term against the paper's term, built from the public
+    # pieces: sign x multinomial(n; c) x g(c)^n over all k rows
+    negative_brackets = 0
+    for k, top in ((1, 6), (2, 8), (3, 5), (4, 3)):
+        term = direct_term(1 << k)[0]
+        for n in range(top + 1):
+            for c in compositions(n, k):
+                expected = sign(c) * multinomial(c) * choice_count(c) ** n
+                assert term(c, n) == expected, (k, n, c)
+    literal = direct_term(4, "literal")[0]
+    for n in range(9):
+        for c in compositions(n, 2):
+            bracket = (c[0] + c[1]) * (c[0] + c[2]) - c[3]
+            negative_brackets += bracket < 0
+            assert literal(c, n) == sign(c) * multinomial(c) * bracket**n, (n, c)
+    assert negative_brackets > 0
+
+
+def docstring_code(doc):
+    """The code blocks of a docstring: its runs of lines indented past the prose."""
+    blocks, current = [], []
+    for line in doc.splitlines() + [""]:
+        if line.startswith(" " * 8):
+            current.append(line)
+        elif current:
+            blocks.append(textwrap.dedent("\n".join(current)))
+            current = []
+    return blocks
+
+
+def test_kernel_docstring_shows_the_generated_source():
+    assert docstring_code(_kernel.__doc__) == [
+        _kernel_source(4)[0],
+        _term_source(4, "derived")[0],
+    ]

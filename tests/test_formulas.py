@@ -15,6 +15,7 @@ from latinrect.formulas import (
 )
 from latinrect.guards import ResourceGuardError
 from latinrect.oracle import brute_force_count
+from latinrect.tallies import OpTally
 
 # frozen oracle output (brute_force_count), asserted again below where cheap
 DERANGEMENTS = [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496, 1334961]
@@ -119,14 +120,36 @@ def test_direct_beyond_printed_cases_is_flagged():
 
 
 def test_parallel_evaluation_is_deterministic():
-    for count, k, n in ((reduced_count, 3, 12), (reduced_count, 4, 8), (total_count_direct, 3, 8)):
-        single = count(k, n, threads=1)
-        for threads in (2, 4):
-            multi = count(k, n, threads=threads)
-            assert multi.value == single.value
-            assert multi.stats.terms == single.stats.terms
-            assert multi.stats.adds == single.stats.adds
-            assert multi.stats.mults == single.stats.mults
+    cases = (
+        ("formula", 3, 12, "derived"),
+        ("formula", 4, 8, "derived"),
+        ("direct-L", 3, 8, "derived"),
+        ("direct-L", 2, 20, "literal"),
+    )
+    for method, k, n, bracket in cases:
+        runs = []
+        for threads in (1, 2, 4):
+            tally = OpTally()
+            result = formulas._evaluate(method, k, n, bracket=bracket, threads=threads, tally=tally)
+            stats = result.stats
+            runs.append((result.value, stats.terms, stats.adds, stats.mults, tally))
+        assert runs[1] == runs[0] and runs[2] == runs[0], (method, k, n, bracket)
+
+
+@pytest.mark.parametrize(
+    "k, n, bracket, adds, inner, assembly, naive",
+    [
+        (3, 10, "derived", 330_616, 291_720, 77_792, 175_032),
+        (2, 9, "literal", 880, 1_320, 880, 1_760),
+        (3, 0, "derived", 17, 15, 0, 0),
+        (1, 7, "derived", 8, 24, 32, 48),
+    ],
+)
+def test_direct_tallies(k, n, bracket, adds, inner, assembly, naive):
+    # terms x the fixed per-term cost: g, the multinomial, the sum and g ** n
+    tally = OpTally()
+    formulas._evaluate("direct-L", k, n, bracket=bracket, tally=tally)
+    assert tally == OpTally(adds, inner, assembly, naive)
 
 
 class _RecordingExecutor:
