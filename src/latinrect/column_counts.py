@@ -8,10 +8,11 @@ over set partitions of the row set weighted by the signed coefficients
 from `partitions`.  Partitions share blocks, so the expansion for m
 rows is compiled once into straight-line code that adds up each
 distinct block sum once (`_kernel`); `direct_term` compiles the same
-code into a whole direct-L term.  `config_count` multiplies
-per-column counts over a whole profile; the floor carrying the column's
-back-row pick is handled by shifting one floor into the fully-omitted
-class first.
+code into a whole direct-L term.  `guards.check_expansion` refuses it
+past 7 rows: CPython fails to compile the 4,140 terms of 8 rows.
+`config_count` multiplies per-column counts over a whole profile; the
+floor carrying the column's back-row pick is handled by shifting one
+floor into the fully-omitted class first.
 
 Row convention here: bit i of a class index refers to rectangle row
 i + 2 (bit 0 is the row right after the fixed back row), matching the
@@ -20,7 +21,7 @@ ground elements 1..m of the partitions.
 
 from functools import lru_cache
 
-from . import partitions, profiles
+from . import guards, partitions, profiles
 from .tallies import OpTally, assembly_product, powered
 
 
@@ -52,6 +53,7 @@ def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
     the additions and inner multiplications the code performs; a
     coefficient of -1 is a subtraction, not a multiplication.
     """
+    guards.check_expansion(m, f"a column count over {1 << m} classes")
     lines = []
     summed = set()
     terms = []

@@ -4,19 +4,21 @@
 2^(k-1) summation indices, the sign exponent, the multinomial, one
 factor per omission class with its shifted arguments, and the expansion
 of the column-choice polynomial over set partitions with their signed
-coefficients.  Rendering (text or LaTeX) and evaluation are separate
-consumers of the same AST, and no algebraic simplification is applied:
-every class, factor and block sum is spelled out, which keeps
-`evaluate_expression` a direct transcription of the tree.
+coefficients.  Rendering and evaluation are separate consumers of the
+same AST, and no algebraic simplification is applied: every class,
+factor and block sum is spelled out, which keeps `evaluate_expression` a
+direct transcription of the tree.
+
+The expansion has Bell(k-1) terms, so `guards.check_expansion` refuses
+k past 8, the same rule that bounds the compiled kernels.  `render`
+builds the formula's pieces once from a notation table, one entry per
+format (text or LaTeX), and the two layouts only place them.
 """
 
 from collections import namedtuple
 
 from . import guards, partitions, profiles
 from .tallies import powered
-
-EXPRESSION_MAX_K = 8
-
 
 GTerm = namedtuple("GTerm", "coefficient blocks")
 GTerm.__doc__ = "One partition's contribution: coefficient times a product of block sums."
@@ -27,35 +29,18 @@ Factor.__doc__ = "The class-`cls` factor: choice polynomial at shifted arguments
 Expression = namedtuple("Expression", "k m class_labels sign_weights factors g_terms")
 
 
-def _expansion_size(m: int):
-    """Bell(m) for a refusal message, cut short like `guards.check_terms`.
-
-    Bell numbers increase, and B(25) is the first past PRINTABLE_TERMS, so
-    a larger m is reported as "more than" that bound after a few steps.
-    """
-    for i in range(m + 1):
-        size = partitions.bell_number(i)
-        if size > guards.PRINTABLE_TERMS:
-            return f"more than {guards.PRINTABLE_TERMS}"
-    return size
-
-
-def generate_expression(k: int, *, max_k: int = EXPRESSION_MAX_K) -> Expression:
+def generate_expression(k: int) -> Expression:
     """Build the symbolic reduced-count formula for the given k.
 
     k = 1 is refused: its count is the constant 1 and there is no sum to
-    print.  Above `max_k` the expression is still finite but its
-    partition expansion grows Bell-fast, so generation is guarded.
+    print.  The partition expansion has Bell(k - 1) terms, so k past 8
+    is refused by `guards.check_expansion`, like the compiled kernels.
     """
     if k < 2:
         raise ValueError(
             "the reduced count for k = 1 is the constant 1; expressions start at k = 2"
         )
-    if k > max_k:
-        raise guards.ResourceGuardError(
-            f"expression generation refused at k={k} (ceiling {max_k}): "
-            f"the expansion would have {_expansion_size(k - 1)} terms"
-        )
+    guards.check_expansion(k - 1, f"expression generation for k={k}")
     m = k - 1
     q = 1 << m
     all_ones = q - 1
@@ -82,68 +67,11 @@ def generate_expression(k: int, *, max_k: int = EXPRESSION_MAX_K) -> Expression:
     )
 
 
-def _sign_exponent(expr: Expression, fmt: str) -> str:
-    parts = []
-    for cls, w in enumerate(expr.sign_weights):
-        if w == 0:
-            continue
-        if fmt == "text":
-            name = f"s{expr.class_labels[cls]}"
-            parts.append(name if w == 1 else f"{w}*{name}")
-        else:
-            name = f"s_{{{expr.class_labels[cls]}}}"
-            parts.append(name if w == 1 else f"{w} {name}")
-    return (" + " if fmt == "text" else "+").join(parts)
-
-
-def _shifted_args(expr: Expression, factor: Factor, fmt: str) -> str:
-    args = []
-    for cls, label in enumerate(expr.class_labels):
-        base = f"s{label}" if fmt == "text" else f"s_{{{label}}}"
-        d = factor.deltas[cls]
-        if d == 0:
-            args.append(base)
-        elif d > 0:
-            args.append(f"{base}+{d}")
-        else:
-            args.append(f"{base}-{-d}")
-    return ",".join(args) if fmt == "latex" else ", ".join(args)
-
-
-def _block_name(block, fmt: str) -> str:
-    inner = ",".join(str(e) for e in block)
-    return f"f({inner})" if fmt == "text" else f"f_{{{inner}}}"
-
-
-def _g_term_strings(expr: Expression, fmt: str) -> list[str]:
-    mult = "*" if fmt == "text" else " "
-    out = []
-    for gt in expr.g_terms:
-        prod = mult.join(_block_name(b, fmt) for b in gt.blocks)
-        if not gt.blocks:
-            prod = "1"
-        c = gt.coefficient
-        if c == 1:
-            out.append(f"+ {prod}")
-        elif c == -1:
-            out.append(f"- {prod}")
-        elif c > 0:
-            out.append(f"+ {c}{mult}{prod}")
-        else:
-            out.append(f"- {-c}{mult}{prod}")
-    return out
-
-
-def _block_sum_string(expr: Expression, block, var: str, fmt: str) -> str:
-    mask = 0
-    for e in block:
-        mask |= 1 << (e - 1)
-    names = []
-    for cls, label in enumerate(expr.class_labels):
-        if cls & mask:
-            continue
-        names.append(f"{var}{label}" if fmt == "text" else f"{var}_{{{label}}}")
-    return " + ".join(names) if fmt == "text" else "+".join(names)
+# per format: variable spelling, sum joiner, list joiner, product sign, block name
+_NOTATION = {
+    "text": ("{}{}", " + ", ", ", "*", "f({})"),
+    "latex": ("{}_{{{}}}", "+", ",", " ", "f_{{{}}}"),
+}
 
 
 def _all_blocks(m: int):
@@ -156,66 +84,62 @@ def _all_blocks(m: int):
     return subsets
 
 
+def _pieces(expr: Expression, var, plus, comma, times, block):
+    """The formula's pieces in one notation; the layouts in `render` place them."""
+    s = [var.format("s", label) for label in expr.class_labels]
+    t = [var.format("t", label) for label in expr.class_labels]
+    sign = plus.join(
+        x if w == 1 else f"{w}{times}{x}" for x, w in zip(s, expr.sign_weights) if w
+    )
+    factors = [
+        (comma.join(f"{x}{d:+d}" if d else x for x, d in zip(s, f.deltas)), s[f.cls])
+        for f in expr.factors
+    ]
+
+    def block_name(b):
+        return block.format(",".join(map(str, b)))
+
+    terms = []
+    for c, blocks in expr.g_terms:
+        prod = times.join(map(block_name, blocks))
+        scaled = prod if abs(c) == 1 else f"{abs(c)}{times}{prod}"
+        terms.append(("- " if c < 0 else "+ ") + scaled)
+    defs = []
+    for b in _all_blocks(expr.m):
+        mask = sum(1 << (e - 1) for e in b)
+        open_t = (x for cls, x in enumerate(t) if not cls & mask)
+        defs.append(f"{block_name(b)} = {plus.join(open_t)}")
+    g = f"g({comma.join(t)}) = " + " ".join(terms).removeprefix("+ ")
+    return plus.join(s), comma.join(s), sign, factors, g, defs
+
+
 def render(expr: Expression, fmt: str = "text") -> str:
     """Deterministic text or LaTeX for the expression; LaTeX needs no packages."""
+    if fmt not in _NOTATION:
+        raise ValueError(f"unknown format {fmt!r}")
+    indices, choose, sign, factors, g, defs = _pieces(expr, *_NOTATION[fmt])
     if fmt == "text":
-        return _render_text(expr)
-    if fmt == "latex":
-        return _render_latex(expr)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _render_text(expr: Expression) -> str:
-    labels = expr.class_labels
-    indices = " + ".join(f"s{lab}" for lab in labels)
-    lines = [f"R_{expr.k}(n) = sum over {indices} = n of"]
-    lines.append(f"    (-1)^({_sign_exponent(expr, 'text')})")
-    lines.append(f"    * multinomial(n; {', '.join('s' + lab for lab in labels)})")
-    for factor in expr.factors:
-        lines.append(
-            f"    * g({_shifted_args(expr, factor, 'text')})^s{labels[factor.cls]}"
-        )
-    lines.append("where")
-    g_args = ", ".join(f"t{lab}" for lab in labels)
-    terms = _g_term_strings(expr, "text")
-    first = terms[0][2:] if terms[0].startswith("+ ") else terms[0]
-    body = " ".join([first] + terms[1:])
-    lines.append(f"    g({g_args}) = {body}")
-    for block in _all_blocks(expr.m):
-        lines.append(
-            f"    {_block_name(block, 'text')} = {_block_sum_string(expr, block, 't', 'text')}"
-        )
-    return "\n".join(lines)
-
-
-def _render_latex(expr: Expression) -> str:
-    labels = expr.class_labels
-    indices = "+".join(f"s_{{{lab}}}" for lab in labels)
-    lines = ["\\["]
-    lines.append(f"R_{{{expr.k}}}(n) = \\sum_{{{indices}=n}}")
-    lines.append(f"(-1)^{{{_sign_exponent(expr, 'latex')}}}")
-    lines.append(f"{{n \\choose {','.join('s_{' + lab + '}' for lab in labels)}}}")
-    for factor in expr.factors:
-        lines.append(
-            f"g({_shifted_args(expr, factor, 'latex')})^{{s_{{{labels[factor.cls]}}}}}"
-        )
-    lines.append("\\]")
-    lines.append("\\[")
-    g_args = ",".join(f"t_{{{lab}}}" for lab in labels)
-    terms = _g_term_strings(expr, "latex")
-    first = terms[0][2:] if terms[0].startswith("+ ") else terms[0]
-    body = " ".join([first] + terms[1:])
-    lines.append(f"g({g_args}) = {body}")
-    lines.append("\\]")
-    lines.append("\\[")
-    defs = []
-    for block in _all_blocks(expr.m):
-        defs.append(
-            f"{_block_name(block, 'latex')} = {_block_sum_string(expr, block, 't', 'latex')}"
-        )
-    lines.append(" ,\\quad ".join(defs))
-    lines.append("\\]")
-    return "\n".join(lines)
+        return "\n".join([
+            f"R_{expr.k}(n) = sum over {indices} = n of",
+            f"    (-1)^({sign})",
+            f"    * multinomial(n; {choose})",
+            *(f"    * g({args})^{power}" for args, power in factors),
+            "where",
+            f"    {g}",
+            *(f"    {d}" for d in defs),
+        ])
+    return "\n".join([
+        "\\[",
+        f"R_{{{expr.k}}}(n) = \\sum_{{{indices}=n}}",
+        f"(-1)^{{{sign}}}",
+        f"{{n \\choose {choose}}}",
+        *(f"g({args})^{{{power}}}" for args, power in factors),
+        "\\]\n\\[",
+        g,
+        "\\]\n\\[",
+        " ,\\quad ".join(defs),
+        "\\]",
+    ])
 
 
 def evaluate_expression(expr: Expression, n: int, *, max_terms: int | None = None) -> int:

@@ -132,12 +132,13 @@ def _evaluate(
         if bracket == "literal" and k != 2:
             raise ValueError("the literal bracket variant is defined for k = 2 only")
         m = k
-        what = "direct total count"
+        what = f"direct total count for k={k}, n={n}"
     else:
         m = k - 1
-        what = "reduced count"
-    # the guard comes first, so a refused run compiles no kernel
-    guards.check_terms(n, 1 << m, max_terms, f"{what} for k={k}, n={n}")
+        what = f"reduced count for k={k}, n={n}"
+    # the guards come first, so a refused run compiles no kernel
+    guards.check_expansion(m, what)
+    guards.check_terms(n, 1 << m, max_terms, what)
     if method == "direct-L":
         sum_terms = partial(_direct_sum, column_counts.direct_term(1 << k, bracket), n)
     else:

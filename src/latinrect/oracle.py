@@ -35,6 +35,8 @@ LONELY_HALL_MAX_N = 6
 # the first column.  k=7 needs 92,160 entries (0.09 s to build, 1.7 ms
 # per memo miss; R_7(7) in 3 s); k=8 needs 1,290,240 (1.2 s, 17 ms).
 BRUTE_FORCE_MAX_TABLE = 10**5
+# most picks or tuples an enumeration may visit, at about 0.2 us each
+ENUMERATION_MAX = 10**7
 
 
 def _normalize(rows) -> Rows:
@@ -254,6 +256,8 @@ def lonely_hall_count(
     product over columns of the number of admissible tuples.  Each
     column's tuples are enumerated one by one, rows 2..k in turn; the
     cost is the sum of the n column counts rather than their product.
+    With no hall omitted that sum is n (n-1) ... (n-k+1) picks, which
+    must stay within ENUMERATION_MAX whatever the guard.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -261,6 +265,16 @@ def lonely_hall_count(
         raise ResourceGuardError(
             f"configuration enumeration refused at k={k}, n={n} "
             f"(guard k<={max_k}, n<={max_n})"
+        )
+    picks = 1
+    for i in range(k):  # stops once the product is 0 or past the bound
+        picks *= n - i
+        if not 0 < picks <= ENUMERATION_MAX:
+            break
+    if picks > ENUMERATION_MAX:
+        raise ResourceGuardError(
+            f"configuration enumeration refused at k={k}, n={n}: "
+            f"more than {ENUMERATION_MAX} picks"
         )
     halls = _normalize_halls(halls, k, n)
     full = (1 << n) - 1
@@ -326,7 +340,7 @@ def injective_tuple_count(counts) -> int:
     if any(c < 0 for c in counts):
         raise ValueError("profile entries must be nonnegative")
     n = sum(counts)
-    if n**m > 10**7:
+    if n**m > ENUMERATION_MAX:
         raise ResourceGuardError(f"tuple enumeration refused: {n}^{m} tuples")
     floor_class = []
     for cls, c in enumerate(counts):

@@ -280,6 +280,19 @@ def test_oracle_refuses_huge_relabeling_tables_at_once(capsys):
         assert err.startswith("latinrect oracle: refused: ") and err.count("\n") == 1, k
 
 
+def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
+    # n (n-1) ... (n-k+1) picks: 7.98e9 at k=3 n=2000, 12! at k=12 n=12
+    for argv in (["oracle", "--k", "3", "--n", "2000", "--max-n", "2000", "--halls", "2:1"],
+                 ["oracle", "--k", "12", "--n", "12", "--max-k", "12", "--max-n", "12",
+                  "--halls", "2:1"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("latinrect oracle: refused: ") and err.count("\n") == 1, argv
+        assert "more than 10000000 picks" in err, argv
+
+
 def test_threads_flag_does_not_change_values(capsys):
     args = ["count", "--k", "3", "--n", "9", "--format", "json"]
     single = json.loads(run(capsys, args + ["--threads", "1"])[1])
@@ -298,14 +311,44 @@ def test_guard_refuses_huge_k_at_once(capsys):
 
 
 def test_guard_refuses_huge_predictions_at_once(capsys):
-    # the exact counts have about 5,400 digits (k=14) or take seconds to
-    # compute (k=20); the guard stops at the first prefix past 10^18
-    for size in (["--k", "14", "--n", "10000"], ["--k", "20", "--n", "1000000"]):
+    # the guard stops at the first prefix of the term count past 10^18
+    for size in (["--k", "8", "--n", "10000"], ["--k", "5", "--n", "1000000"]):
         start = time.perf_counter()
         code, _, err = run(capsys, ["count", *size])
         assert time.perf_counter() - start < 1.0, size
         assert code == 2, size
         assert "refused" in err and "more than 1000000000000000000 terms" in err
+
+
+def test_expansion_past_seven_rows_refuses_at_once(capsys):
+    # g over 8 rows has Bell(8) = 4,140 terms, which fail to compile; a
+    # wider profile once ran out of memory (k=30) or overflowed (k=70)
+    for argv in (["count", "--k", "9", "--n", "1"],
+                 ["count", "--method", "direct-L", "--k", "8", "--n", "1"],
+                 ["count", "--method", "direct-L", "--k", "12", "--n", "0"],
+                 ["count", "--k", "30", "--n", "0"],
+                 ["count", "--k", "70", "--n", "0"],
+                 ["count", "--k", str(10**30), "--n", "1"],
+                 ["count", "--k", "14", "--n", "10000"],
+                 ["count", "--k", "20", "--n", "1000000"],
+                 ["table", "--k", "9", "--n", "0..1"],
+                 ["bench", "--k", "9", "--n", "1"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"latinrect {argv[0]}: refused: ") and err.count("\n") == 1, argv
+
+
+def test_largest_expansions_still_count(capsys):
+    code, out, _ = run(capsys, ["count", "--k", "8", "--n", "2", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["terms"]) == ("0", "8256")
+    code, out, _ = run(capsys, ["count", "--method", "direct-L", "--k", "7", "--n", "1",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == "0"
 
 
 def test_threads_below_one_or_not_an_integer_exit_one(capsys):
@@ -383,6 +426,17 @@ def test_fuzzed_parse_time_checks_exit_zero_one_or_two(text):
     for argv in (["expr", "--k", text],
                  ["oracle", "--k", "3", "--n", "4", "--max-k", text],
                  ["oracle", "--k", "3", "--n", "4", "--max-n", text]):
+        assert _exit_code(argv) in (0, 1, 2), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARG_TEXT)
+def test_fuzzed_k_exits_zero_one_or_two(text):
+    # no cap on k: the size rule and the term guard refuse what is too large
+    argvs = [["count", "--k", text, "--n", n, "--method", method]
+             for n in ("0", "1") for method in ("formula", "direct-L")]
+    argvs += [["table", "--k", text, "--n", "0..1"], ["bench", "--k", text, "--n", "1"]]
+    for argv in argvs:
         assert _exit_code(argv) in (0, 1, 2), argv
 
 

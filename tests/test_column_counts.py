@@ -13,6 +13,7 @@ from latinrect.column_counts import (
     direct_term,
     shift_profile,
 )
+from latinrect.guards import ResourceGuardError
 from latinrect.oracle import injective_tuple_count, lonely_hall_count, profile_of
 from latinrect.profiles import compositions, multinomial, sign
 
@@ -109,6 +110,13 @@ def test_config_count_nonnegative():
 def test_config_count_rejects_negative_entries():
     with pytest.raises(ValueError):
         config_count((2, -1, 1, 0))
+
+
+def test_profiles_past_seven_rows_refuse():
+    # 256 classes are 8 rows, whose Bell(8) = 4,140 terms fail to compile
+    for count in (choice_count, config_count):
+        with pytest.raises(ResourceGuardError, match="would have 4140 terms"):
+            count((1,) * 256)
 
 
 def test_config_count_agrees_with_hall_oracle_spot():

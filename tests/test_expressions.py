@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from latinrect.expressions import evaluate_expression, generate_expression, render
@@ -56,7 +58,6 @@ def test_generation_refusals():
         generate_expression(1)
     with pytest.raises(ResourceGuardError, match="would have 4140 terms"):
         generate_expression(9)
-    assert generate_expression(9, max_k=9).k == 9
     # Bell(k-1) is named while it is at most 10^18, B(25) is past it
     with pytest.raises(ResourceGuardError, match="would have 445958869294805289 terms"):
         generate_expression(25)
@@ -70,6 +71,53 @@ def test_render_is_deterministic():
         assert render(expr, fmt) == render(expr, fmt)
     with pytest.raises(ValueError):
         render(expr, "mathml")
+
+
+K3_TEXT = """\
+R_3(n) = sum over s00 + s10 + s01 + s11 = n of
+    (-1)^(s10 + s01 + 2*s11)
+    * multinomial(n; s00, s10, s01, s11)
+    * g(s00-1, s10, s01, s11+1)^s00
+    * g(s00, s10-1, s01, s11+1)^s10
+    * g(s00, s10, s01-1, s11+1)^s01
+    * g(s00, s10, s01, s11)^s11
+where
+    g(t00, t10, t01, t11) = f(1)*f(2) - f(1,2)
+    f(1) = t00 + t01
+    f(2) = t00 + t10
+    f(1,2) = t00"""
+
+K3_LATEX = r"""\[
+R_{3}(n) = \sum_{s_{00}+s_{10}+s_{01}+s_{11}=n}
+(-1)^{s_{10}+s_{01}+2 s_{11}}
+{n \choose s_{00},s_{10},s_{01},s_{11}}
+g(s_{00}-1,s_{10},s_{01},s_{11}+1)^{s_{00}}
+g(s_{00},s_{10}-1,s_{01},s_{11}+1)^{s_{10}}
+g(s_{00},s_{10},s_{01}-1,s_{11}+1)^{s_{01}}
+g(s_{00},s_{10},s_{01},s_{11})^{s_{11}}
+\]
+\[
+g(t_{00},t_{10},t_{01},t_{11}) = f_{1} f_{2} - f_{1,2}
+\]
+\[
+f_{1} = t_{00}+t_{01} ,\quad f_{2} = t_{00}+t_{10} ,\quad f_{1,2} = t_{00}
+\]"""
+
+
+def test_render_pinned_at_three_rows():
+    expr = generate_expression(3)
+    assert render(expr, "text") == K3_TEXT
+    assert render(expr, "latex") == K3_LATEX
+
+
+def test_render_pinned_for_every_printable_k():
+    # k = 2..8, text then LaTeX per k, each output with its trailing newline
+    digest = hashlib.sha256()
+    for k in range(2, 9):
+        expr = generate_expression(k)
+        for fmt in ("text", "latex"):
+            digest.update((render(expr, fmt) + "\n").encode())
+    assert digest.hexdigest() == "978352795c50843fe552fa63922af425870d6d55bba28aedaf618375e367043b"
 
 
 def test_text_render_shape():

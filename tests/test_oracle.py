@@ -263,6 +263,15 @@ def test_lonely_hall_guard_and_validation():
         lonely_hall_count(2, 3, {(2, 4)})
 
 
+def test_lonely_hall_pick_bound_is_exact(monkeypatch):
+    # k=4 n=7 enumerates 6*5*4 = 120 picks in each of its 7 columns
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 840)
+    assert lonely_hall_count(4, 7, max_k=4, max_n=7) == 120**7
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 839)
+    with pytest.raises(ResourceGuardError, match="more than 839 picks"):
+        lonely_hall_count(4, 7, max_k=4, max_n=7)
+
+
 def test_lonely_hall_dominates_latin_count():
     for k, n in ((2, 3), (2, 4), (3, 3), (3, 4)):
         assert lonely_hall_count(k, n) >= brute_force_count(k, n)
