@@ -13,8 +13,7 @@ import sys
 import time
 from math import factorial
 
-from . import bench, expressions, formulas, oracle, selftest
-from .guards import ResourceGuardError
+from . import bench, expressions, formulas, guards, oracle, selftest
 
 
 class UsageError(ValueError):
@@ -134,7 +133,17 @@ def _default_threads() -> int:
     return 1
 
 
-def _cmd_count(args) -> int:
+def _check_range(args) -> None:
+    # a formula table's or bench's rows against --max-terms as a whole;
+    # one n, a bad k or n and a huge k are refused as the first row would be
+    k, (lo, hi) = args.k, args.n
+    if k >= 1 and 0 <= lo < hi:
+        guards.check_expansion(k - 1, f"reduced count for k={k}, n={lo}")
+        what = f"reduced count for k={k}, n={lo}..{hi}"
+        guards.check_terms(lo, hi, 1 << (k - 1), args.max_terms, what)
+
+
+def _cmd_count(args):
     method = args.method
     total_only = method in ("direct-L", "factorial-bridge")
     if args.reduced and total_only:
@@ -163,17 +172,17 @@ def _cmd_count(args) -> int:
         result = formulas.CountResult(
             args.k, args.n, variant, "oracle", value, formulas.EvalStats(0, 0, 0, elapsed)
         )
-    _emit(_render_count(result, args.format), args.out)
-    return 0
+    return _render_count(result, args.format), None
 
 
-def _cmd_expr(args) -> int:
+def _cmd_expr(args):
     expr = expressions.generate_expression(args.k)
-    _emit(expressions.render(expr, args.format) + "\n", args.out)
-    return 0
+    return expressions.render(expr, args.format) + "\n", None
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
+    if args.method == "formula":
+        _check_range(args)
     lo, hi = args.n
     rows = []
     for n in range(lo, hi + 1):
@@ -192,38 +201,32 @@ def _cmd_table(args) -> int:
                 {"n": n, "reduced": str(r), "total": str(t)} for n, r, t in rows
             ],
         }
-        _emit(_json_line(payload), args.out)
-    elif args.format == "csv":
+        return _json_line(payload), None
+    if args.format == "csv":
         lines = ["k,n,reduced,total"]
         lines += [f"{args.k},{n},{r},{t}" for n, r, t in rows]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         width_r = max(len(str(r)) for _, r, _ in rows)
         lines = [f"{'n':>4}  {'R_' + str(args.k) + '(n)':<{width_r + 2}}  L_{args.k}(n)"]
         lines += [f"{n:>4}  {r!s:<{width_r + 2}}  {t}" for n, r, t in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", None
 
 
-def _cmd_bench(args) -> int:
-    lo, hi = args.n
-    out_path = args.out or args.csv  # the parser admits at most one
-    fmt = args.format
+def _cmd_bench(args):
     if args.csv and args.format == "json":
         raise ValueError("--csv writes CSV; drop --format json or use --out")
-    if args.csv:
-        fmt = "csv"
+    _check_range(args)
+    lo, hi = args.n
     sw = bench.sweep(args.k, range(lo, hi + 1), max_terms=args.max_terms)
     buf = io.StringIO()
-    if fmt == "json":
+    if args.format == "json":
         bench.write_json_lines(buf, sw)
     else:
         bench.write_csv(buf, sw)
-    _emit(buf.getvalue(), out_path)
-    return 0
+    return buf.getvalue(), None
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     variant = "total" if args.total else "reduced"
     guard = {}
     if args.max_k is not None:
@@ -244,14 +247,9 @@ def _cmd_oracle(args) -> int:
                 "profile": list(profile),
                 "value": str(value),
             }
-            _emit(_json_line(payload), args.out)
-        else:
-            _emit(
-                f"configurations omitting {sorted(set(halls))}: {value}\n"
-                f"profile={profile}\n",
-                args.out,
-            )
-        return 0
+            return _json_line(payload), None
+        text = f"configurations omitting {sorted(set(halls))}: {value}\nprofile={profile}\n"
+        return text, None
     value = oracle.brute_force_count(args.k, args.n, variant, **guard)
     if args.format == "json":
         payload = {
@@ -261,14 +259,12 @@ def _cmd_oracle(args) -> int:
             "method": "oracle",
             "value": str(value),
         }
-        _emit(_json_line(payload), args.out)
-    else:
-        label = "R" if variant == "reduced" else "L"
-        _emit(f"{label}_{args.k}({args.n}) = {value}  (brute force)\n", args.out)
-    return 0
+        return _json_line(payload), None
+    label = "R" if variant == "reduced" else "L"
+    return f"{label}_{args.k}({args.n}) = {value}  (brute force)\n", None
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     report = selftest.run_selftest(max_k=args.k, max_n=args.n)
     if args.format == "json":
         payload = {
@@ -285,7 +281,7 @@ def _cmd_selftest(args) -> int:
             "notes": list(report.notes),
             "ok": report.ok,
         }
-        _emit(_json_line(payload), args.out)
+        text = _json_line(payload)
     else:
         lines = []
         for s in report.suites:
@@ -293,11 +289,8 @@ def _cmd_selftest(args) -> int:
         for note in report.notes:
             lines.append(f"note: {note}")
         lines.append("selftest: OK" if report.ok else "selftest: FAILED")
-        _emit("\n".join(lines) + "\n", args.out)
-    if not report.ok:
-        print(f"counterexample: {report.first_counterexample()}", file=sys.stderr)
-        return 3
-    return 0
+        text = "\n".join(lines) + "\n"
+    return text, None if report.ok else f"counterexample: {report.first_counterexample()}"
 
 
 def build_parser() -> _Parser:
@@ -380,19 +373,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command; every failure is one stderr line printed here."""
+    """Run one command, write its text to stdout or --out; each failure is one stderr line."""
     parser = build_parser()
     prog = parser.prog
     try:
         args = parser.parse_args(argv)
         prog = f"{prog} {args.command}"
-        return args.fn(args)
-    except ResourceGuardError as exc:
+        text, mismatch = args.fn(args)
+        _emit(text, args.out or getattr(args, "csv", None))  # bench's --csv is its --out
+    except guards.ResourceGuardError as exc:
         print(f"{prog}: refused: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a UsageError names the parser that raised it
         print(f"{getattr(exc, 'prog', prog)}: error: {exc}", file=sys.stderr)
         return 1
+    if mismatch:
+        print(mismatch, file=sys.stderr)
+        return 3
+    return 0
 
 
 def main_entry() -> None:

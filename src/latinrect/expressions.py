@@ -152,7 +152,7 @@ def evaluate_expression(expr: Expression, n: int, *, max_terms: int | None = Non
     if n < 0:
         raise ValueError("need n >= 0")
     q = 1 << expr.m
-    guards.check_terms(n, q, max_terms, f"expression evaluation for k={expr.k}, n={n}")
+    guards.check_terms(n, n, q, max_terms, f"expression evaluation for k={expr.k}, n={n}")
 
     term_classes = []
     for gt in expr.g_terms:

@@ -138,7 +138,7 @@ def _evaluate(
         what = f"reduced count for k={k}, n={n}"
     # the guards come first, so a refused run compiles no kernel
     guards.check_expansion(m, what)
-    guards.check_terms(n, 1 << m, max_terms, what)
+    guards.check_terms(n, n, 1 << m, max_terms, what)
     if method == "direct-L":
         sum_terms = partial(_direct_sum, column_counts.direct_term(1 << k, bracket), n)
     else:

@@ -10,19 +10,17 @@ reduced sum and the printed formula, and m = k for direct-L.
 
 Term counts of the counting formulas grow like n^(2^(k-1) - 1), so every
 evaluator predicts its term count up front and refuses with a clear
-diagnostic when the prediction exceeds the configured ceiling.  The
-ceiling can be overridden per call or through the LATINRECT_MAX_TERMS
-environment variable.
+diagnostic when the prediction exceeds the ceiling: the caller's
+`max_terms` (`--max-terms`), else DEFAULT_MAX_TERMS.  A range of n, as
+`table` and `bench` run it, is bounded as a whole.
 
 Either size, when too large to matter, is cut short and reported as
 "more than" a bound.
 """
 
-import os
 from math import comb
 
 DEFAULT_MAX_TERMS = 10**8
-MAX_TERMS_ENV = "LATINRECT_MAX_TERMS"
 # larger term predictions are refused as "more than" a bound, not exactly
 PRINTABLE_TERMS = 10**18
 # rows of the largest column-polynomial expansion built; Bell(8) fails to compile
@@ -33,24 +31,6 @@ class ResourceGuardError(RuntimeError):
     """Raised when a requested computation exceeds a configured ceiling."""
 
 
-def max_terms_limit(override: int | None = None) -> int:
-    """Resolve the term ceiling: explicit override, else environment, else default."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("term ceiling must be positive")
-        return override
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
-        if value <= 0:
-            raise ValueError(f"{MAX_TERMS_ENV} must be positive, got {value}")
-        return value
-    return DEFAULT_MAX_TERMS
-
-
 def composition_count(n: int, classes: int) -> int:
     """Number of ways to split n over `classes` ordered nonnegative parts."""
     if n < 0 or classes < 1:
@@ -58,28 +38,36 @@ def composition_count(n: int, classes: int) -> int:
     return comb(n + classes - 1, n)
 
 
-def check_terms(n: int, classes: int, max_terms: int | None, what: str) -> None:
-    """Refuse a sum over the compositions of n into `classes` parts past the ceiling.
+def check_terms(lo: int, hi: int, classes: int, max_terms: int | None, what: str) -> None:
+    """Refuse the sums over the compositions of n = lo..hi into `classes` parts past the ceiling.
 
-    The running prefixes C(n + classes - 1, i) of the count increase with
-    i, since i <= min(n, classes - 1) never passes half the top.  So the
-    first prefix past both the ceiling and PRINTABLE_TERMS refuses the
-    sum at once, as "more than" their maximum; a huge k or n costs a few
-    steps, and the message stays short enough to print.
+    The sums count together; one sum is lo = hi.  Sum n has
+    C(n + classes - 1, classes - 1) terms, most at n = hi.  The running
+    prefixes C(hi + classes - 1, i) of that count increase with i, since
+    i <= min(hi, classes - 1) never passes half the top.  So the first
+    prefix past both the ceiling and PRINTABLE_TERMS refuses at once, as
+    "more than" their maximum; a huge k or n costs a few steps, and the
+    message stays short enough to print.  Past the walk the sums total
+    C(hi + classes, classes) - C(lo - 1 + classes, classes), which is
+    cheap: hi - lo + 1 when classes = 1, else hi < sum hi <= the bound.
     """
-    limit = max_terms_limit(max_terms)
+    if max_terms is not None and max_terms <= 0:
+        raise ValueError("term ceiling must be positive")
+    limit = DEFAULT_MAX_TERMS if max_terms is None else max_terms
     bound = max(limit, PRINTABLE_TERMS)
-    top = n + classes - 1
+    top = hi + classes - 1
     c = 1
-    for i in range(1, min(n, classes - 1) + 1):
+    for i in range(1, min(hi, classes - 1) + 1):
         c = c * (top - i + 1) // i
         if c > bound:
             break
+    else:
+        c = comb(top + 1, classes) - comb(lo + classes - 1, classes)
     if c > limit:
         predicted = f"more than {bound}" if c > bound else c
         raise ResourceGuardError(
             f"{what} would evaluate {predicted} terms, above the ceiling of {limit}; "
-            f"raise --max-terms or {MAX_TERMS_ENV} to proceed"
+            "raise --max-terms to proceed"
         )
 
 

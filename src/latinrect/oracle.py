@@ -278,9 +278,9 @@ def lonely_hall_count(
         )
     halls = _normalize_halls(halls, k, n)
     full = (1 << n) - 1
-    blocked = [0] * (k + 1)
+    blocked = {}  # row -> floors its halls omit; nothing here grows with k
     for row, floor in halls:
-        blocked[row] |= 1 << (floor - 1)
+        blocked[row] = blocked.get(row, 0) | 1 << (floor - 1)
 
     def column(j: int) -> int:
         total = 0
@@ -290,7 +290,7 @@ def lonely_hall_count(
             if i > k:
                 total += 1
                 return
-            avail = full & ~blocked[i] & ~colmask
+            avail = full & ~blocked.get(i, 0) & ~colmask
             while avail:
                 b = avail & -avail
                 avail ^= b
@@ -306,9 +306,17 @@ def lonely_hall_count(
 
 
 def profile_of(halls, k: int, n: int) -> tuple[int, ...]:
-    """Tally floors by omission class: bit i set iff row i+2's hall is in the set."""
-    halls = _normalize_halls(halls, k, n)
+    """Tally floors by omission class: bit i set iff row i+2's hall is in the set.
+
+    The profile has 2^(k-1) entries, refused past BRUTE_FORCE_MAX_TABLE
+    (k >= 18) like the brute-force oracle's tables, before any is built.
+    """
     m = k - 1
+    if m >= BRUTE_FORCE_MAX_TABLE.bit_length():  # exactly when 2^m > BRUTE_FORCE_MAX_TABLE
+        raise ResourceGuardError(
+            f"profile refused at k={k}: its 2^{m} classes pass {BRUTE_FORCE_MAX_TABLE} entries"
+        )
+    halls = _normalize_halls(halls, k, n)
     counts = [0] * (1 << m)
     for floor in range(1, n + 1):
         cls = 0

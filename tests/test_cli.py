@@ -1,14 +1,16 @@
 import contextlib
 import io
 import json
+import re
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latinrect.cli import main
-from latinrect.guards import MAX_TERMS_ENV
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "latinrect"
 COUNT_KEYS = ["k", "n", "variant", "method", "value", "terms", "adds", "mults", "elapsed_ms"]
 
 
@@ -152,13 +154,86 @@ def test_guard_exits_two(capsys):
     assert code == 2
 
 
-def test_guard_env_override(capsys, monkeypatch):
-    monkeypatch.setenv(MAX_TERMS_ENV, "5")
-    code, _, err = run(capsys, ["count", "--k", "3", "--n", "5"])
-    assert code == 2
-    assert "5" in err
-    monkeypatch.delenv(MAX_TERMS_ENV)
-    assert run(capsys, ["count", "--k", "3", "--n", "5"])[0] == 0
+def test_environment_sets_no_limit(capsys, monkeypatch):
+    # the ceiling is --max-terms or the default; no variable overrides it
+    monkeypatch.setenv("LATINRECT_MAX_TERMS", "5")
+    code, out, err = run(capsys, ["count", "--k", "3", "--n", "5"])
+    assert code == 0 and err == ""
+    assert out.startswith("R_3(5) = 552\n")
+
+
+def test_no_module_reads_the_environment():
+    for path in sorted(SRC.glob("*.py")):
+        assert not re.search(r"\benviron\b|\bgetenv\b", path.read_text()), path.name
+
+
+def _mask_elapsed(text):
+    # elapsed_ms=1.2 in human output, "elapsed_ms":1.2 in JSON, the last CSV field
+    text = re.sub(r'(elapsed_ms"?[=:])[-+.\deE]+', r"\1*", text)
+    return re.sub(r",\d+\.\d+$", ",*", text, flags=re.M)
+
+
+def test_out_file_equals_stdout(tmp_path, capsys):
+    requests = (
+        ["count", "--k", "3", "--n", "5"],
+        ["count", "--k", "2", "--n", "4", "--total", "--format", "json"],
+        ["count", "--k", "2", "--n", "4", "--method", "oracle", "--format", "csv"],
+        ["expr", "--k", "3"],
+        ["expr", "--k", "4", "--format", "latex"],
+        ["table", "--k", "2", "--n", "1..6"],
+        ["table", "--k", "3", "--n", "3..5", "--format", "json"],
+        ["table", "--k", "3", "--n", "3..5", "--method", "oracle", "--format", "csv"],
+        ["bench", "--k", "2", "--n", "3..6"],
+        ["bench", "--k", "3", "--n", "4..6", "--format", "json"],
+        ["oracle", "--k", "3", "--n", "4"],
+        ["oracle", "--k", "3", "--n", "4", "--total", "--format", "json"],
+        ["oracle", "--k", "3", "--n", "4", "--halls", "2:1,3:2"],
+        ["oracle", "--k", "3", "--n", "4", "--halls", "2:1,3:2", "--format", "json"],
+        ["selftest"],
+        ["selftest", "--format", "json"],
+    )
+    for i, argv in enumerate(requests):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and out, argv
+        targets = ["--out"] + (["--csv"] if argv[0] == "bench" and "json" not in argv else [])
+        for flag in targets:
+            target = tmp_path / f"{i}{flag}"
+            code, file_out, err = run(capsys, argv + [flag, str(target)])
+            assert (code, file_out, err) == (0, "", ""), argv + [flag]
+            assert _mask_elapsed(target.read_text()) == _mask_elapsed(out), argv + [flag]
+
+
+def test_range_refusals_are_immediate(capsys):
+    # every row of these is under the ceiling, or the rows are too many to run
+    for argv, terms in (
+        (["table", "--k", "4", "--n", "0..40"], "377348994"),
+        (["bench", "--k", "4", "--n", "1..40"], "377348993"),
+        (["table", "--k", "3", "--n", "0..100000"], "more than 1000000000000000000"),
+        (["table", "--k", "1", "--n", "0.." + "1" + "0" * 30], "more than 1000000000000000000"),
+        (["bench", "--k", "1", "--n", "1.." + "1" + "0" * 30], "more than 1000000000000000000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err == (
+            f"latinrect {argv[0]}: refused: reduced count for k={argv[2]}, n={argv[4]} "
+            f"would evaluate {terms} terms, above the ceiling of 100000000; "
+            "raise --max-terms to proceed\n"
+        ), argv
+
+
+def test_max_terms_bounds_the_whole_range(capsys):
+    # rows n = 1..6 of k = 2 have n + 1 terms each, 27 together
+    for command in ("table", "bench"):
+        argv = [command, "--k", "2", "--n", "1..6", "--max-terms"]
+        assert run(capsys, argv + ["27"])[0] == 0, command
+        code, out, err = run(capsys, argv + ["26"])
+        assert code == 2 and out == "", command
+        assert "would evaluate 27 terms, above the ceiling of 26" in err, command
+    # the oracle's own guard bounds an oracle table
+    assert run(capsys, ["table", "--k", "2", "--n", "1..6", "--method", "oracle",
+                        "--max-terms", "1"])[0] == 0
 
 
 def test_table_golden_two_rows(capsys):
@@ -291,6 +366,24 @@ def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("latinrect oracle: refused: ") and err.count("\n") == 1, argv
         assert "more than 10000000 picks" in err, argv
+
+
+def test_hall_profile_is_sized_before_it_is_built(capsys):
+    # 2^39 entries once ran out of memory; a k + 1 entry list once overflowed
+    huge = "1" + "0" * 20
+    for argv in (["oracle", "--k", "40", "--n", "1", "--max-k", "40", "--halls", "2:1"],
+                 ["oracle", "--k", huge, "--n", "1", "--max-k", huge, "--halls", ""]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("latinrect oracle: refused: profile refused at k=") and err.count("\n") == 1
+    code, out, _ = run(capsys, ["oracle", "--k", "12", "--n", "1", "--max-k", "12",
+                                "--halls", "2:1", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "0"
+    assert payload["profile"] == [0, 1] + [0] * 2046
 
 
 def test_threads_flag_does_not_change_values(capsys):

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 import latinrect.formulas as formulas
-import latinrect.guards as guards
 from latinrect.formulas import (
     derangements_classical,
     derangements_ryser,
@@ -211,17 +210,6 @@ def test_resource_guard_reports_predicted_terms():
     message = str(err.value)
     assert str(comb(37, 7)) in message
     assert "1000" in message
-
-
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv(guards.MAX_TERMS_ENV, "10")
-    with pytest.raises(ResourceGuardError):
-        reduced_count(3, 5)
-    monkeypatch.setenv(guards.MAX_TERMS_ENV, "banana")
-    with pytest.raises(ValueError):
-        reduced_count(3, 5)
-    monkeypatch.delenv(guards.MAX_TERMS_ENV)
-    assert reduced_count(3, 5).value == 552
 
 
 def test_argument_validation():

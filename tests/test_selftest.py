@@ -63,6 +63,21 @@ def test_cli_selftest_exit_codes(monkeypatch, capsys):
     assert "k=2 n=2" in captured.err
 
 
+def test_failing_selftest_writes_its_report_to_out(monkeypatch, capsys, tmp_path):
+    corrupt_two_class_value(monkeypatch)
+    target = tmp_path / "report.txt"
+    assert main(["selftest", "--out", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("counterexample: ") and captured.err.count("\n") == 1
+    assert target.read_text().endswith("selftest: FAILED\n")
+    # an unwritable target is one usage error, with no counterexample line
+    assert main(["selftest", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("latinrect selftest: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_selftest_json_reports_time_per_suite(capsys):
     assert main(["selftest", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
