@@ -7,8 +7,10 @@ inclusion-exclusion over coincidence patterns of the rows, i.e. a sum
 over set partitions of the row set weighted by the signed coefficients
 from `partitions`.  Partitions share blocks, so the expansion for m
 rows is compiled once into straight-line code that adds up each
-distinct block sum once (`_kernel`); `direct_term` compiles the same
-code into a whole direct-L term.  `guards.check_expansion` refuses it
+distinct block sum once (`_kernel`); `direct_sum` compiles the same
+code into the whole direct-L sum, which carries each term's sign and
+multinomial from one profile of the colex walk to the next instead of
+recomputing them.  `guards.check_expansion` refuses the expansion
 past 7 rows: CPython fails to compile the 4,140 terms of 8 rows.
 `config_count` multiplies per-column counts over a whole profile; the
 floor carrying the column's back-row pick is handled by shifting one
@@ -79,25 +81,40 @@ def _kernel_source(q: int) -> tuple[str, int, int]:
     return "\n".join(["def g(c):", *lines, f"    return {poly}"]), adds, mults
 
 
-def _term_source(q: int, bracket: str) -> tuple[str, int, int]:
+def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
     if bracket == "literal":
         # the bracket as printed, with the fully-omitted class subtracted
         # instead of the fully-open one
         lines, poly, adds, mults = (), "(c[0] + c[1]) * (c[0] + c[2]) - c[3]", 3, 1
     else:
         lines, poly, adds, mults = _g_source(_tracked_rows(q))
-    odd = " + ".join(f"c[{cls}]" for cls in range(q) if profiles.class_weight(cls) & 1)
+    # one branch per lowest nonzero class j past 0: the step emptied class
+    # j - 1, which held v = c[0] + 1 floors (see `direct_sum`)
+    odd = [profiles.class_weight(cls) & 1 for cls in range(q)]
+    steps = []
+    for j in range(1, q):
+        steps.append(f"        {'if' if j == 1 else 'elif'} c[{j}]:")
+        if odd[j - 1]:
+            signed = "w if v & 1 else -w" if odd[j] else "-w if v & 1 else w"
+            steps.append("            v = c[0] + 1")
+            steps.append(f"            w = ({signed}) * v // c[{j}]")
+        else:
+            steps.append(f"            w = {'-' if odd[j] else ''}w * (c[0] + 1) // c[{j}]")
     source = "\n".join([
-        "def term(c, n):",
-        *lines,
-        f"    t = ({poly}) ** n * profiles.multinomial(c)",
-        f"    return -t if ({odd}) & 1 else t",
+        "def direct_sum(stream, n):",
+        "    total = terms = 0",
+        "    w = 1",
+        "    for terms, c in enumerate(stream, 1):",
+        *steps,
+        *(line.replace("    ", "        ", 1) for line in lines),
+        f"        total += w * ({poly}) ** n",
+        "    return total, terms",
     ])
     return source, adds, mults
 
 
 def _compiled(source: str, name: str):
-    namespace = {"profiles": profiles}
+    namespace = {}
     exec(source, namespace)
     return namespace[name]
 
@@ -116,14 +133,25 @@ def _kernel(q: int):
             b3 = c[0]
             return b1 * b2 - b3
 
-    and `direct_term` builds the direct-L term from the same code:
+    and `direct_sum` builds the whole direct-L sum around the same code:
 
-        def term(c, n):
-            b1 = c[0] + c[2]
-            b2 = c[0] + c[1]
-            b3 = c[0]
-            t = (b1 * b2 - b3) ** n * profiles.multinomial(c)
-            return -t if (c[1] + c[2]) & 1 else t
+        def direct_sum(stream, n):
+            total = terms = 0
+            w = 1
+            for terms, c in enumerate(stream, 1):
+                if c[1]:
+                    w = -w * (c[0] + 1) // c[1]
+                elif c[2]:
+                    v = c[0] + 1
+                    w = (w if v & 1 else -w) * v // c[2]
+                elif c[3]:
+                    v = c[0] + 1
+                    w = (-w if v & 1 else w) * v // c[3]
+                b1 = c[0] + c[2]
+                b2 = c[0] + c[1]
+                b3 = c[0]
+                total += w * (b1 * b2 - b3) ** n
+            return total, terms
 
     adds and mults are the additions and inner multiplications one call
     of g performs.
@@ -133,20 +161,27 @@ def _kernel(q: int):
 
 
 @lru_cache(maxsize=None)
-def direct_term(q: int, bracket: str = "derived"):
-    """One direct-L term for profiles of length q = 2^k, compiled once: (function, adds, mults).
+def direct_sum(q: int, bracket: str = "derived"):
+    """The direct-L sum for profiles of length q = 2^k, compiled once: (function, adds, mults).
 
-    `term(c, n)` is sign(c) * multinomial(c) * bracket(c) ** n, where the
-    bracket is g over all k rows (`_kernel`'s polynomial) or, for k = 2
-    and bracket "literal", (c0 + c1)(c0 + c2) - c3.  The sign is the
-    parity of the entries in classes of odd weight, as in
-    `profiles.sign`.  adds and mults are the additions and inner
-    multiplications one call performs apart from the power: the
-    bracket's, and one multiplication per class for the multinomial, as
-    `profiles.multinomial` tallies it.
+    `direct_sum(stream, n)` takes `profiles.compositions(n, k)` and
+    returns (total, terms): total is the sum over its profiles c of
+    sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket is
+    g over all k rows (`_kernel`'s polynomial) or, for k = 2 and bracket
+    "literal", (c0 + c1)(c0 + c2) - c3.
+
+    The signed multinomial w is carried along the colex walk, which must
+    therefore start at (n, 0, ..., 0), where w = 1.  The step into a
+    later profile c emptied class j - 1, which held v = c[0] + 1 floors:
+    one went to class j, the lowest nonzero class past 0, and the rest
+    to class 0.  So w <- w * v // c[j], an exact quotient, and w changes
+    sign iff (v & odd(j - 1)) ^ odd(j), where odd(u) is the parity of
+    class u's weight, as in `profiles.sign`.  adds and mults are the
+    additions and inner multiplications the bracket performs once per
+    term; the two multiplications of a step are not among them.
     """
-    source, adds, mults = _term_source(q, bracket)
-    return _compiled(source, "term"), adds, mults + q
+    source, adds, mults = _sum_source(q, bracket)
+    return _compiled(source, "direct_sum"), adds, mults
 
 
 def _tracked_rows(q: int) -> int:

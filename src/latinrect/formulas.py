@@ -9,20 +9,22 @@ rows 2..k, `total_count` multiplies the sum by n!, and
 `total_count_direct` raises one bracket to the n-th power over the 2^k
 classes of all k rows.  All arithmetic is exact integers end to end.
 
-Each direct-L term is one call of a function compiled once per k
-(`column_counts.direct_term`): block sums, bracket, power, multinomial
-and sign.  Its op counts are fixed once k and n are, so they are added
-once per sum as terms x per-term cost.
+The direct-L sum is one call of a function compiled once per k
+(`column_counts.direct_sum`): it carries the signed multinomial along
+the colex walk and adds up block sums, bracket and power per profile.
+Its op counts are fixed once k and n are, so they are added once per
+sum: terms x the per-term cost, plus two multiplications per step.
 
-Evaluation is serial unless threads > 1; the pool then sums fixed-size
-chunks and combines them in stream order, so values and statistics never
-depend on the thread count.  The pool's module is imported only then, so
-a serial run never loads it.
+The direct-L sum runs on one thread, whatever `threads` is, since each
+profile's weight comes from the one before.  The reduced sum is serial
+unless threads > 1; the pool then sums fixed-size chunks and combines
+them in stream order, so values and statistics never depend on the
+thread count.  The pool's module is imported only then, so a serial run
+never loads it.
 """
 
 import time
 from collections import deque, namedtuple
-from functools import partial
 from itertools import islice
 from math import factorial
 
@@ -55,37 +57,14 @@ def _reduced_sum(stream, tally):
     return total, terms
 
 
-def _direct_sum(kernel, n, stream, tally):
-    """Exact sum of the direct-L terms of `stream`'s profiles: (value, terms).
-
-    `kernel` is `column_counts.direct_term`'s (term, adds, mults).  A
-    term's op counts are fixed once k and n are, so they are tallied once,
-    as terms x per-term cost.
-    """
-    term, adds, mults = kernel
-    total = 0
-    terms = 0
-    for profile in stream:
-        total += term(profile, n)
-        terms += 1
-    # per term: the kernel's own ops, one add and one mult for the sum,
-    # and g ** n as `tallies.powered` counts it
-    tally.adds += terms * (adds + 1)
-    tally.mults_inner += terms * (mults + 1)
-    if n:
-        tally.mults_assembly += terms * (n.bit_length() + n.bit_count() - 2)
-        tally.mults_assembly_naive += terms * (n - 1)
-    return total, terms
-
-
-def _sum_chunk(chunk, sum_terms):
+def _sum_chunk(chunk):
     # runs on a pool worker, so the chunk's tally is made on that thread
     tally = OpTally()
-    return (*sum_terms(chunk, tally), tally)
+    return (*_reduced_sum(chunk, tally), tally)
 
 
-def _pooled_sum(stream, sum_terms, threads, tally):
-    """`sum_terms` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
+def _pooled_sum(stream, threads, tally):
+    """`_reduced_sum` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
     from concurrent.futures import ThreadPoolExecutor
 
     total = 0
@@ -97,7 +76,7 @@ def _pooled_sum(stream, sum_terms, threads, tally):
         # the thread count; the window bounds memory on long streams
         while (chunk := list(islice(stream, _CHUNK))) or window:
             if chunk:
-                window.append(pool.submit(_sum_chunk, chunk, sum_terms))
+                window.append(pool.submit(_sum_chunk, chunk))
             if not chunk or len(window) >= _WINDOW:
                 sub, count, sub_tally = window.popleft().result()
                 total += sub
@@ -140,16 +119,24 @@ def _evaluate(
     guards.check_expansion(m, what)
     guards.check_terms(n, n, 1 << m, max_terms, what)
     if method == "direct-L":
-        sum_terms = partial(_direct_sum, column_counts.direct_term(1 << k, bracket), n)
-    else:
-        sum_terms = _reduced_sum
+        direct_sum, adds, mults = column_counts.direct_sum(1 << k, bracket)
 
     start = time.perf_counter()
     stream = profiles.compositions(n, m)
-    if threads == 1:
-        value, terms = sum_terms(stream, tally)
+    if method == "direct-L":
+        value, terms = direct_sum(stream, n)
+        # per term: the bracket's ops, one add and one mult for the sum,
+        # and g ** n as `tallies.powered` counts it; per step of the walk:
+        # the weight's product and exact quotient
+        tally.adds += terms * (adds + 1)
+        tally.mults_inner += terms * (mults + 1) + 2 * (terms - 1)
+        if n:
+            tally.mults_assembly += terms * (n.bit_length() + n.bit_count() - 2)
+            tally.mults_assembly_naive += terms * (n - 1)
+    elif threads == 1:
+        value, terms = _reduced_sum(stream, tally)
     else:
-        value, terms = _pooled_sum(stream, sum_terms, threads, tally)
+        value, terms = _pooled_sum(stream, threads, tally)
     elapsed = time.perf_counter() - start
 
     bridged = method == "factorial-bridge"
@@ -228,10 +215,20 @@ def total_count_direct(
     hall sets have profile c, and |H| = sum_v weight(v) c[v].  So
     L_k(n) = sum_c sign(c) multinomial(n; c) g(c)^n, which is this sum.
 
+    When g vanishes: row r may pick the floors outside the classes that
+    contain r.  Let T be a nonempty set of the k rows, and S_T the sum
+    over classes u ⊇ T of c_u: the floors closed to every row of T, so
+    the rows of T may pick among n - S_T floors.  By Hall's theorem the
+    k rows have distinct picks exactly when n - S_T >= |T| for every T,
+    so g(c) = 0 exactly when some T has S_T > n - |T|.  With T = all k
+    rows, every term vanishes when 1 <= n < k.
+
     Each term raises one per-column bracket to the n-th power; brackets
     may be negative along the way, which is fine for exact integers.
-    Each term is one call of `column_counts.direct_term`, compiled once
-    per k, and its op counts are added once as terms x per-term cost.
+    The sum is one call of `column_counts.direct_sum`, compiled once per
+    k, which carries sign x multinomial along the walk, and its op
+    counts are added once per sum.  It runs on one thread at any
+    `threads`.
     `bracket` picks, for k = 2 only, between the partition-derived
     bracket (... - s00) and the literal variant (... - s11); the two
     sums agree everywhere they have been compared.

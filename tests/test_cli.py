@@ -473,6 +473,26 @@ def test_default_threads_do_not_start_the_pool(capsys, monkeypatch):
     assert json.loads(out)["value"] == "393120"
 
 
+def test_direct_l_sums_on_one_thread_at_any_threads(capsys, monkeypatch):
+    # each profile's weight comes from the one before, so direct-L never
+    # starts the pool, and its output does not depend on --threads
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a direct-L run started a thread pool")
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    payloads = []
+    for threads in ("1", "4"):
+        argv = ["count", "--k", "3", "--n", "6", "--method", "direct-L",
+                "--threads", threads, "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, threads
+        payload = json.loads(out)
+        del payload["elapsed_ms"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["value"] == "15321600"
+
+
 # argument text that is mostly malformed: junk, ranges, signs, huge or
 # negative integers; any that parses is still kept cheap by the caller
 _ARG_TEXT = st.one_of(

@@ -1,16 +1,17 @@
 import random
 import textwrap
+from math import comb
 
 import pytest
 
 from latinrect.column_counts import (
     _kernel,
     _kernel_source,
-    _term_source,
+    _sum_source,
     block_sum,
     choice_count,
     config_count,
-    direct_term,
+    direct_sum,
     shift_profile,
 )
 from latinrect.guards import ResourceGuardError
@@ -148,22 +149,44 @@ def test_every_term_vanishes_when_n_is_below_k():
 
 
 def test_direct_term_is_signed_multinomial_times_powered_bracket():
-    # the generated term against the paper's term, built from the public
-    # pieces: sign x multinomial(n; c) x g(c)^n over all k rows
-    negative_brackets = 0
+    # the generated sum, which carries sign x multinomial along the walk,
+    # against the paper's terms built from the public pieces:
+    # sign x multinomial(n; c) x g(c)^n over all k rows
     for k, top in ((1, 6), (2, 8), (3, 5), (4, 3)):
-        term = direct_term(1 << k)[0]
+        q = 1 << k
+        direct = direct_sum(q)[0]
         for n in range(top + 1):
-            for c in compositions(n, k):
-                expected = sign(c) * multinomial(c) * choice_count(c) ** n
-                assert term(c, n) == expected, (k, n, c)
-    literal = direct_term(4, "literal")[0]
+            expected = sum(
+                sign(c) * multinomial(c) * choice_count(c) ** n for c in compositions(n, k)
+            )
+            assert direct(compositions(n, k), n) == (expected, comb(n + q - 1, q - 1)), (k, n)
+    literal = direct_sum(4, "literal")[0]
+    negative_brackets = 0
     for n in range(9):
+        expected = 0
         for c in compositions(n, 2):
             bracket = (c[0] + c[1]) * (c[0] + c[2]) - c[3]
             negative_brackets += bracket < 0
-            assert literal(c, n) == sign(c) * multinomial(c) * bracket**n, (n, c)
+            expected += sign(c) * multinomial(c) * bracket**n
+        assert literal(compositions(n, 2), n) == (expected, comb(n + 3, 3)), n
     assert negative_brackets > 0
+
+
+def test_direct_bracket_vanishes_exactly_when_hall_fails():
+    # g(c) = 0 iff some nonempty row set T has sum_{u ⊇ T} c_u > n - |T|
+    # (see `total_count_direct`)
+    seen = set()
+    for k, top in ((2, 8), (3, 6), (4, 4)):
+        q = 1 << k
+        supersets = [[u for u in range(q) if u & t == t] for t in range(q)]
+        for n in range(top + 1):
+            for c in compositions(n, k):
+                fails = any(
+                    sum(c[u] for u in supersets[t]) > n - t.bit_count() for t in range(1, q)
+                )
+                assert (choice_count(c) == 0) == fails, (k, n, c)
+                seen.add(fails)
+    assert seen == {False, True}
 
 
 def docstring_code(doc):
@@ -181,5 +204,5 @@ def docstring_code(doc):
 def test_kernel_docstring_shows_the_generated_source():
     assert docstring_code(_kernel.__doc__) == [
         _kernel_source(4)[0],
-        _term_source(4, "derived")[0],
+        _sum_source(4, "derived")[0],
     ]

@@ -138,14 +138,17 @@ def test_parallel_evaluation_is_deterministic():
 @pytest.mark.parametrize(
     "k, n, bracket, adds, inner, assembly, naive",
     [
-        (3, 10, "derived", 330_616, 291_720, 77_792, 175_032),
-        (2, 9, "literal", 880, 1_320, 880, 1_760),
-        (3, 0, "derived", 17, 15, 0, 0),
-        (1, 7, "derived", 8, 24, 32, 48),
+        (3, 10, "derived", 330_616, 175_030, 77_792, 175_032),
+        (2, 9, "literal", 880, 878, 880, 1_760),
+        (3, 0, "derived", 17, 7, 0, 0),
+        (1, 7, "derived", 8, 22, 32, 48),
     ],
 )
 def test_direct_tallies(k, n, bracket, adds, inner, assembly, naive):
-    # terms x the fixed per-term cost: g, the multinomial, the sum and g ** n
+    # terms x the fixed per-term cost (the bracket, the sum and g ** n),
+    # plus the weight's product and exact quotient on each of the
+    # terms - 1 steps of the walk: inner = terms x (bracket mults + 1)
+    # + 2 x (terms - 1), e.g. 19,448 x 7 + 2 x 19,447 at k=3 n=10
     tally = OpTally()
     formulas._evaluate("direct-L", k, n, bracket=bracket, tally=tally)
     assert tally == OpTally(adds, inner, assembly, naive)
