@@ -381,7 +381,7 @@ def main(argv=None) -> int:
         prog = f"{prog} {args.command}"
         text, mismatch = args.fn(args)
         _emit(text, args.out or getattr(args, "csv", None))  # bench's --csv is its --out
-    except guards.ResourceGuardError as exc:
+    except (guards.ResourceGuardError, OverflowError) as exc:  # e.g. n! past sys.maxsize
         print(f"{prog}: refused: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a UsageError names the parser that raised it

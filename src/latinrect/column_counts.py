@@ -10,8 +10,10 @@ rows is compiled once into straight-line code that adds up each
 distinct block sum once (`_kernel`); `direct_sum` compiles the same
 code into the whole direct-L sum, which carries each term's sign and
 multinomial from one profile of the colex walk to the next instead of
-recomputing them.  `guards.check_expansion` refuses the expansion
-past 7 rows: CPython fails to compile the 4,140 terms of 8 rows.
+recomputing them.  Nothing here counts operations: `tallies.add_sum_ops`
+scales each compiled function's cost per call up to a whole sum.
+`guards.check_expansion` refuses the expansion past 7 rows: CPython
+fails to compile the 4,140 terms of 8 rows.
 `config_count` multiplies per-column counts over a whole profile; the
 floor carrying the column's back-row pick is handled by shifting one
 floor into the fully-omitted class first.
@@ -24,7 +26,7 @@ ground elements 1..m of the partitions.
 from functools import lru_cache
 
 from . import guards, partitions, profiles
-from .tallies import OpTally, assembly_product, powered
+from .tallies import assembly_product, powered
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +156,7 @@ def _kernel(q: int):
             return total, terms
 
     adds and mults are the additions and inner multiplications one call
-    of g performs.
+    of g performs, which `tallies.add_sum_ops` counts once per sum.
     """
     source, adds, mults = _kernel_source(q)
     return _compiled(source, "g"), adds, mults
@@ -191,7 +193,7 @@ def _tracked_rows(q: int) -> int:
     return m
 
 
-def block_sum(counts, block, tally: OpTally | None = None) -> int:
+def block_sum(counts, block) -> int:
     """Sum of profile entries over classes open for every row in `block`.
 
     `block` is a nonempty set of 1-based row positions within the
@@ -205,24 +207,17 @@ def block_sum(counts, block, tally: OpTally | None = None) -> int:
         mask |= 1 << (e - 1)
     if mask == 0:
         raise ValueError("block must be nonempty")
-    zero = _zero_classes(m, mask)
-    if tally is not None:
-        tally.adds += len(zero) - 1
-    return sum(counts[cls] for cls in zero)
+    return sum(counts[cls] for cls in _zero_classes(m, mask))
 
 
-def choice_count(counts, tally: OpTally | None = None) -> int:
+def choice_count(counts) -> int:
     """Distinct-floor choices for one column under the given profile.
 
     Entries may be negative (the direct total formulas raise possibly
     negative brackets to powers); the counting meaning applies only to
     nonnegative profiles.  m = 0 gives the empty product 1.
     """
-    kernel, adds, mults = _kernel(len(counts))
-    if tally is not None:
-        tally.adds += adds
-        tally.mults_inner += mults
-    return kernel(counts)
+    return _kernel(len(counts))[0](counts)
 
 
 def shift_profile(counts, cls: int) -> tuple[int, ...]:
@@ -246,7 +241,7 @@ def shift_profile(counts, cls: int) -> tuple[int, ...]:
     return tuple(shifted)
 
 
-def config_count(counts, tally: OpTally | None = None) -> int:
+def config_count(counts) -> int:
     """Reduced configurations omitting every hall of a set with this profile.
 
     Product over classes with nonzero count of the shifted column choice
@@ -260,6 +255,6 @@ def config_count(counts, tally: OpTally | None = None) -> int:
             continue
         if cnt < 0:
             raise ValueError("profile entries must be nonnegative")
-        base = choice_count(shift_profile(counts, cls), tally)
-        powers.append(powered(base, cnt, tally))
-    return assembly_product(powers, tally)
+        base = choice_count(shift_profile(counts, cls))
+        powers.append(powered(base, cnt))
+    return assembly_product(powers)

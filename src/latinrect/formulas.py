@@ -12,15 +12,15 @@ classes of all k rows.  All arithmetic is exact integers end to end.
 The direct-L sum is one call of a function compiled once per k
 (`column_counts.direct_sum`): it carries the signed multinomial along
 the colex walk and adds up block sums, bracket and power per profile.
-Its op counts are fixed once k and n are, so they are added once per
-sum: terms x the per-term cost, plus two multiplications per step.
+Neither sum counts operations as it goes: `tallies.add_sum_ops` adds
+each sum's op counts once, from its compiled kernel's cost per call.
 
 The direct-L sum runs on one thread, whatever `threads` is, since each
 profile's weight comes from the one before.  The reduced sum is serial
 unless threads > 1; the pool then sums fixed-size chunks and combines
-them in stream order, so values and statistics never depend on the
-thread count.  The pool's module is imported only then, so a serial run
-never loads it.
+their values in stream order, and `add_sum_ops` gives the statistics,
+so neither depends on the thread count.  The pool's module is imported
+only then, so a serial run never loads it.
 """
 
 import time
@@ -29,7 +29,7 @@ from itertools import islice
 from math import factorial
 
 from . import column_counts, guards, profiles
-from .tallies import OpTally, powered  # noqa: F401  perfbench traces formulas.powered
+from .tallies import OpTally, add_sum_ops, powered  # noqa: F401  perfbench traces formulas.powered
 
 _CHUNK = 1024
 _WINDOW = 8  # most chunks held in flight by the pool, whatever its thread count
@@ -43,45 +43,32 @@ EvalStats.__doc__ = "Term count, real operation counts, and wall time of one eva
 CountResult = namedtuple("CountResult", "k n variant method value stats")
 
 
-def _reduced_sum(stream, tally):
+def _reduced_sum(stream):
     """Exact sum of the reduced terms of `stream`'s profiles: (value, terms)."""
-    total = 0
-    terms = 0
-    for profile in stream:
-        term = profiles.multinomial(profile, tally) * column_counts.config_count(profile, tally)
+    total = terms = 0
+    for terms, profile in enumerate(stream, 1):
+        term = profiles.multinomial(profile) * column_counts.config_count(profile)
         total += term if profiles.sign(profile) > 0 else -term
-        terms += 1
-    # per term: multinomial x columns, and adding it to the total
-    tally.mults_inner += terms
-    tally.adds += terms
     return total, terms
 
 
-def _sum_chunk(chunk):
-    # runs on a pool worker, so the chunk's tally is made on that thread
-    tally = OpTally()
-    return (*_reduced_sum(chunk, tally), tally)
-
-
-def _pooled_sum(stream, threads, tally):
+def _pooled_sum(stream, threads):
     """`_reduced_sum` mapped over _CHUNK-sized chunks of `stream` by a thread pool."""
     from concurrent.futures import ThreadPoolExecutor
 
-    total = 0
-    terms = 0
+    total = terms = 0
     window = deque()
     # threads beyond the window would have no chunk to sum
     with ThreadPoolExecutor(max_workers=min(threads, _WINDOW)) as pool:
-        # chunks merge oldest-first, so results and tallies never depend on
-        # the thread count; the window bounds memory on long streams
+        # chunks combine oldest-first, so the value never depends on the
+        # thread count; the window bounds memory on long streams
         while (chunk := list(islice(stream, _CHUNK))) or window:
             if chunk:
-                window.append(pool.submit(_sum_chunk, chunk))
+                window.append(pool.submit(_reduced_sum, chunk))
             if not chunk or len(window) >= _WINDOW:
-                sub, count, sub_tally = window.popleft().result()
+                sub, count = window.popleft().result()
                 total += sub
                 terms += count
-                tally.merge(sub_tally)
     return total, terms
 
 
@@ -97,7 +84,7 @@ def _evaluate(
 ) -> CountResult:
     """The one evaluator behind the formula, factorial-bridge and direct-L methods.
 
-    The caller owns `tally`, which collects the run's operation counts.
+    The caller owns `tally`, to which the run's operation counts are added.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -105,7 +92,8 @@ def _evaluate(
         raise ValueError("need n >= 0")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    if method == "direct-L":
+    direct = method == "direct-L"
+    if direct:
         if bracket not in ("derived", "literal"):
             raise ValueError(f"unknown bracket variant {bracket!r}")
         if bracket == "literal" and k != 2:
@@ -115,39 +103,27 @@ def _evaluate(
     else:
         m = k - 1
         what = f"reduced count for k={k}, n={n}"
-    # the guards come first, so a refused run compiles no kernel
+    # the guards come first, so a refused run builds no 2^m and compiles no kernel
     guards.check_expansion(m, what)
-    guards.check_terms(n, n, 1 << m, max_terms, what)
-    if method == "direct-L":
-        direct_sum, adds, mults = column_counts.direct_sum(1 << k, bracket)
+    q = 1 << m
+    guards.check_terms(n, n, q, max_terms, what)
+    kernel, adds, mults = column_counts.direct_sum(q, bracket) if direct else column_counts._kernel(q)
 
     start = time.perf_counter()
     stream = profiles.compositions(n, m)
-    if method == "direct-L":
-        value, terms = direct_sum(stream, n)
-        # per term: the bracket's ops, one add and one mult for the sum,
-        # and g ** n as `tallies.powered` counts it; per step of the walk:
-        # the weight's product and exact quotient
-        tally.adds += terms * (adds + 1)
-        tally.mults_inner += terms * (mults + 1) + 2 * (terms - 1)
-        if n:
-            tally.mults_assembly += terms * (n.bit_length() + n.bit_count() - 2)
-            tally.mults_assembly_naive += terms * (n - 1)
+    if direct:
+        value, terms = kernel(stream, n)
     elif threads == 1:
-        value, terms = _reduced_sum(stream, tally)
+        value, terms = _reduced_sum(stream)
     else:
-        value, terms = _pooled_sum(stream, threads, tally)
+        value, terms = _pooled_sum(stream, threads)
     elapsed = time.perf_counter() - start
+    add_sum_ops(tally, n, q, adds, mults, direct)
 
     bridged = method == "factorial-bridge"
     if bridged:
         value *= factorial(n)
-    stats = EvalStats(
-        terms=terms,
-        adds=tally.adds,
-        mults=tally.mults_total + bridged,
-        elapsed=elapsed,
-    )
+    stats = EvalStats(terms, tally.adds, tally.mults_total + bridged, elapsed)
     variant = "reduced" if method == "formula" else "total"
     return CountResult(k, n, variant, method, value, stats)
 

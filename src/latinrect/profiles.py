@@ -20,8 +20,6 @@ from functools import lru_cache
 from math import perm
 from operator import itemgetter
 
-from .tallies import OpTally
-
 
 def class_weight(cls: int) -> int:
     """Number of omitted halls in the class: its popcount."""
@@ -84,15 +82,21 @@ def factorial_table(n: int) -> tuple[int, ...]:
     return fact[: max(n + 1, 0)]
 
 
-def multinomial(counts, tally: OpTally | None = None) -> int:
+def multinomial(counts) -> int:
     """n! / prod(counts[v]!) for n = sum(counts), exactly.
 
-    The largest entry's factorial cancels against n!, leaving the falling
-    product perm(n, n - top); every other entry is at most n // 2.
-    Tallied as inner multiplications, one per entry: the falling
-    product, the denominator's products and the final quotient.
+    A profile with all of n in one entry has multinomial 1, so it
+    builds no table, however large n is.  Otherwise the largest entry's
+    factorial cancels against n!, leaving the falling product
+    perm(n, n - top); every other entry is at most n // 2.
+    `tallies.add_sum_ops` counts one inner multiplication per entry.
     """
     n = sum(counts)
+    if n in counts:
+        # the other entries sum to 0: all zero, unless one is negative
+        if min(counts) < 0:
+            raise ValueError("profile entries must be nonnegative")
+        return 1
     fact = factorial_table(n // 2)
     top = 0
     denom = 1
@@ -107,8 +111,6 @@ def multinomial(counts, tally: OpTally | None = None) -> int:
         # two entries above n // 2: only a negative entry, not yet
         # reached, can have cut the sum that short
         raise ValueError("profile entries must be nonnegative") from None
-    if tally is not None:
-        tally.mults_inner += len(counts)
     return perm(n, n - top) // denom
 
 

@@ -10,10 +10,11 @@ block sums, the column-choice polynomial, multinomial quotients,
 coefficient scaling -- costs a fixed number of operations once k is
 fixed; its multiplications are tallied in ``mults_inner`` and its
 additions in ``adds``.  Quotients of factorial-table entries count as
-multiplications (same cost class).
+multiplications (same cost class).  No term code counts anything:
+`add_sum_ops` adds a whole sum's counts at once.
 """
 
-from math import prod
+from math import comb, prod
 
 
 class OpTally:
@@ -40,36 +41,60 @@ class OpTally:
     def mults_total(self) -> int:
         return self.mults_inner + self.mults_assembly
 
-    def merge(self, other: "OpTally") -> None:
-        self.adds += other.adds
-        self.mults_inner += other.mults_inner
-        self.mults_assembly += other.mults_assembly
-        self.mults_assembly_naive += other.mults_assembly_naive
+
+def add_sum_ops(tally: OpTally, n: int, q: int, adds: int, mults: int, direct: bool) -> None:
+    """Add one sum's op counts over the profiles of length q summing to n.
+
+    adds and mults are one kernel call's cost: g's (`column_counts._kernel`)
+    or the direct-L bracket's (`column_counts.direct_sum`).  Of the T
+    terms, a direct-L term costs the bracket, an add and a mult into the
+    sum, and g**n; each step of the walk costs two mults for the weight.
+    A reduced term costs q multinomial mults and an add and a mult into
+    the sum; each of its nonzero classes costs a g, a power and, past
+    the first class, an assembly step.  There are Z = q C(n+q-2, q-1)
+    nonzero entries for n >= 1, C(n-c+q-2, q-2) per class equal to c,
+    `**` spends `_steps(c)` mults on g**c, and the naive model charges
+    every term n - 1.  That is O(n) integer operations per sum, and
+    n < T whenever q >= 2.
+    """
+    terms = comb(n + q - 1, q - 1)
+    tally.mults_assembly_naive += max(n - 1, 0) * terms
+    if direct:
+        tally.adds += (adds + 1) * terms
+        tally.mults_inner += (mults + 1) * terms + 2 * (terms - 1)
+        tally.mults_assembly += _steps(n) * terms if n else 0
+        return
+    tally.adds += terms
+    tally.mults_inner += (q + 1) * terms
+    if n == 0:
+        return
+    if q == 1:
+        nonzero, powering = 1, _steps(n)
+    else:
+        nonzero = q * comb(n + q - 2, q - 1)
+        powering = q * sum(comb(n - c + q - 2, q - 2) * _steps(c) for c in range(1, n + 1))
+    tally.adds += adds * nonzero
+    tally.mults_inner += mults * nonzero
+    tally.mults_assembly += powering + nonzero - terms
 
 
-def powered(base: int, exp: int, tally: OpTally | None = None):
-    """base**exp by the interpreter's `**`, with 0**0 == 1.
+def _steps(exp: int) -> int:
+    """Multiplications `**` spends on a power to exp >= 1.
 
     For these exponents `**` is left-to-right binary powering: one
     squaring per bit after the leading one and one multiplication by the
-    base per further set bit, bit_length + bit_count - 2 in all.  Those
-    go to the assembly bucket; the naive model is credited
-    max(exp - 1, 0) multiplications for the same power.
+    base per further set bit.
     """
+    return exp.bit_length() + exp.bit_count() - 2
+
+
+def powered(base: int, exp: int):
+    """base**exp by the interpreter's `**`, with 0**0 == 1."""
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
-    if exp == 0:
-        return 1
-    if tally is not None:
-        tally.mults_assembly += exp.bit_length() + exp.bit_count() - 2
-        tally.mults_assembly_naive += exp - 1
     return base**exp
 
 
-def assembly_product(values, tally: OpTally | None = None):
+def assembly_product(values):
     """Product of a sequence of per-class powers; empty product is 1."""
-    if tally is not None:
-        steps = max(len(values) - 1, 0)
-        tally.mults_assembly += steps
-        tally.mults_assembly_naive += steps
     return prod(values)

@@ -413,6 +413,21 @@ def test_guard_refuses_huge_predictions_at_once(capsys):
         assert "refused" in err and "more than 1000000000000000000 terms" in err
 
 
+def test_one_row_counts_at_huge_n_finish_at_once(capsys):
+    # the one profile (n,) has multinomial 1, which needs no factorial table
+    for n in (10**6, 10**30):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["count", "--k", "1", "--n", str(n)])
+        assert time.perf_counter() - start < 1.0, n
+        assert (code, err) == (0, ""), n
+        assert out.startswith(f"R_1({n}) = 1\n"), n
+    # n! past sys.maxsize is refused in one line
+    code, out, err = run(capsys, ["count", "--k", "1", "--n", str(10**30), "--total"])
+    assert (code, out) == (2, "")
+    assert err.startswith("latinrect count: refused: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_expansion_past_seven_rows_refuses_at_once(capsys):
     # g over 8 rows has Bell(8) = 4,140 terms, which fail to compile; a
     # wider profile once ran out of memory (k=30) or overflowed (k=70)

@@ -134,7 +134,16 @@ def test_factorial_tables_built_by_concurrent_threads_are_correct(fresh_factoria
 
 
 def test_multinomial_rejects_a_negative_entry_after_large_ones():
-    # entries ahead of the negative one may overrun the n // 2 table
-    for profile in ((3, 4, -5), (1000, 1000, -1999), (5, -3), (0, 0, 9, -1)):
+    # entries ahead of the negative one may overrun the n // 2 table; in
+    # the last two, one entry equals the sum, as in a one-class profile
+    profiles = ((3, 4, -5), (1000, 1000, -1999), (5, -3), (0, 0, 9, -1), (7, 3, -3), (0, 2, -2))
+    for profile in profiles:
         with pytest.raises(ValueError):
             multinomial(profile)
+
+
+def test_multinomial_of_one_full_entry_builds_no_table():
+    # a table of n // 2 factorials would not fit in memory at these n
+    for n in (10**6, 10**30):
+        assert multinomial((n,)) == 1
+        assert multinomial((0, 0, n, 0)) == 1

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinrect.column_counts import block_sum, choice_count, config_count
+from latinrect.column_counts import _kernel, choice_count, config_count
 from latinrect.oracle import injective_tuple_count, is_latin, reduce_rectangle
 from latinrect.partitions import mobius_coefficient, partitions_of
 from latinrect.profiles import class_weight, compositions, multinomial, sign
-from latinrect.tallies import OpTally, assembly_product, powered
+from latinrect.tallies import OpTally, add_sum_ops, assembly_product, powered
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2))
@@ -62,33 +62,39 @@ def signed_profiles(max_m=4):
 def reference_choice_count(counts):
     """g from its definition: every partition's signed product of block sums.
 
-    Also returns the tally that definition implies when each distinct
-    block sum is added up once.
+    Also returns the additions and multiplications that definition
+    implies when each distinct block sum is added up once: a block B
+    sums the 2^(m - |B|) classes that omit none of its rows.
     """
     m = (len(counts) - 1).bit_length()
-    tally = OpTally()
     sums = {}
-    total = 0
+    total = adds = mults = 0
     for p in partitions_of(m):
         coeff = mobius_coefficient(p)
         term = 1
         for block in p.blocks:
             if block not in sums:
-                sums[block] = block_sum(counts, set(block), tally)
+                rows = sum(1 << (e - 1) for e in block)
+                sums[block] = sum(c for cls, c in enumerate(counts) if not cls & rows)
+                adds += (1 << (m - len(block))) - 1
             term *= sums[block]
         total += coeff * term
-        tally.mults_inner += max(len(p.blocks) - 1, 0) + (abs(coeff) != 1)
-    tally.adds += len(partitions_of(m)) - 1
-    return total, tally
+        mults += max(len(p.blocks) - 1, 0) + (abs(coeff) != 1)
+    adds += len(partitions_of(m)) - 1
+    return total, adds, mults
 
 
 @settings(max_examples=200)
 @given(signed_profiles())
 def test_choice_count_matches_partition_reference(profile):
-    expected, expected_tally = reference_choice_count(profile)
-    tally = OpTally()
-    assert choice_count(profile, tally) == expected
-    assert tally == expected_tally
+    expected, _, _ = reference_choice_count(profile)
+    assert choice_count(profile) == expected
+
+
+def test_kernel_op_counts_match_partition_reference():
+    for m in range(5):
+        q = 1 << m
+        assert _kernel(q)[1:] == reference_choice_count((0,) * q)[1:], m
 
 
 @given(signed_profiles())
@@ -146,9 +152,7 @@ def reference_multinomial(counts):
 @settings(max_examples=150)
 @given(sized_profiles())
 def test_multinomial_matches_factorial_quotient(profile):
-    tally = OpTally()
-    assert multinomial(profile, tally) == reference_multinomial(profile)
-    assert tally == OpTally(mults_inner=len(profile))
+    assert multinomial(profile) == reference_multinomial(profile)
 
 
 @pytest.mark.parametrize(
@@ -166,9 +170,7 @@ def test_multinomial_matches_factorial_quotient(profile):
     ],
 )
 def test_multinomial_ties_and_large_maxima(profile):
-    tally = OpTally()
-    assert multinomial(profile, tally) == reference_multinomial(profile)
-    assert tally.mults_inner == len(profile)
+    assert multinomial(profile) == reference_multinomial(profile)
 
 
 @st.composite
@@ -203,29 +205,81 @@ def reference_power(base, exp):
     return acc, steps
 
 
+def sum_ops(n, q, adds, mults, direct=False):
+    tally = OpTally()
+    add_sum_ops(tally, n, q, adds, mults, direct)
+    return tally
+
+
 def test_powered_tallies_binary_powering_steps():
+    # the reduced sum at q = 1 has one term, one class of n floors, and
+    # a free g: its assembly is exactly the powering of g ** n
     for exp in range(4097):
         base = (-3, -2, -1, 0, 1, 5)[exp % 6]
         value, steps = reference_power(base, exp)
-        tally = OpTally()
-        assert powered(base, exp, tally) == value, (base, exp)
-        assert tally == OpTally(mults_assembly=steps, mults_assembly_naive=max(exp - 1, 0))
+        assert powered(base, exp) == value, (base, exp)
+        assert sum_ops(exp, 1, 0, 0) == OpTally(1, 2, steps, max(exp - 1, 0)), exp
 
 
 @given(st.integers(min_value=-(10**40), max_value=10**40), st.integers(0, 300))
 def test_powered_matches_reference_powering(base, exp):
     value, steps = reference_power(base, exp)
-    tally = OpTally()
-    assert powered(base, exp, tally) == value
-    assert tally.mults_assembly == steps
+    assert powered(base, exp) == value
+    assert sum_ops(exp, 1, 0, 0).mults_assembly == steps
 
 
 @given(st.lists(st.integers(-(10**30), 10**30), max_size=9))
-def test_assembly_product_tallies_one_step_per_factor_after_the_first(values):
+def test_assembly_product_is_the_product_of_its_factors(values):
     expected = 1
     for v in values:
         expected *= v
+    assert assembly_product(values) == expected
+
+
+def reference_sum_ops(n, m, adds, mults, direct):
+    """One sum's op counts, summed term by term over `compositions(n, m)`.
+
+    A reduced term costs q multinomial mults, one mult and one add into
+    the sum, and per nonzero class one g, its power and, past the first
+    class, one assembly step.  A direct-L term costs the bracket, one
+    add and one mult into the sum and the power g ** n; each step of
+    the walk after the first profile costs two mults for the weight.
+    """
+    q = 1 << m
+    steps = [reference_power(1, exp)[1] for exp in range(n + 1)]
     tally = OpTally()
-    assert assembly_product(values, tally) == expected
-    steps = max(len(values) - 1, 0)
-    assert tally == OpTally(mults_assembly=steps, mults_assembly_naive=steps)
+    for i, profile in enumerate(compositions(n, m)):
+        if direct:
+            used, extra = [n] if n else [], 0
+            tally.adds += adds + 1
+            tally.mults_inner += mults + 1 + (2 if i else 0)
+        else:
+            used = [c for c in profile if c]
+            extra = max(len(used) - 1, 0)
+            tally.adds += 1 + adds * len(used)
+            tally.mults_inner += q + 1 + mults * len(used)
+        tally.mults_assembly += sum(steps[c] for c in used) + extra
+        tally.mults_assembly_naive += sum(used) - len(used) + extra
+    return tally
+
+
+def test_sum_ops_equals_the_per_term_reference():
+    # k = 1..5 at n <= 8 and k = 2 at n <= 60, except where the walks
+    # pass about 10^5 profiles: reduced k = 5 stops at n = 7, and
+    # direct-L k = 2 at n = 30, k = 4 at n = 6 and k = 5 at n = 3
+    literal = (3, 1)  # (c0 + c1)(c0 + c2) - c3: three adds, one mult
+    last_n = {1: 8, 2: 60, 3: 8, 4: 8, 5: 7}
+    last_direct_n = {1: 8, 2: 30, 3: 8, 4: 6, 5: 3}
+    for k in range(1, 6):
+        m = k - 1
+        _, adds, mults = reference_choice_count((0,) * (1 << m))
+        for n in range(last_n[k] + 1):
+            want = reference_sum_ops(n, m, adds, mults, False)
+            assert sum_ops(n, 1 << m, adds, mults) == want, (k, n)
+        brackets = [reference_choice_count((0,) * (1 << k))[1:]]
+        if k == 2:
+            brackets.append(literal)
+        for adds, mults in brackets:
+            for n in range(last_direct_n[k] + 1):
+                want = reference_sum_ops(n, k, adds, mults, True)
+                assert sum_ops(n, 1 << k, adds, mults, True) == want, (k, n, adds, mults)

@@ -37,8 +37,8 @@ def corrupt_two_class_value(monkeypatch):
     # cannot cancel away; it first shows at k=2, n=2 (n <= 1 still cancels).
     real = column_counts.choice_count
 
-    def corrupted(counts, tally=None):
-        value = real(counts, tally)
+    def corrupted(counts):
+        value = real(counts)
         return value + 1 if counts == (0, 2) else value
 
     monkeypatch.setattr(column_counts, "choice_count", corrupted)
