@@ -10,7 +10,9 @@ rows is compiled once into straight-line code that adds up each
 distinct block sum once (`_kernel`); `direct_sum` compiles the same
 code into the whole direct-L sum, which carries each term's sign and
 multinomial from one profile of the colex walk to the next instead of
-recomputing them.  Nothing here counts operations: `tallies.add_sum_ops`
+recomputing them, and collects like terms: it sums the weights of the
+profiles that share a bracket value and raises each distinct value to
+the n-th power once.  Nothing here counts operations: `tallies.add_sum_ops`
 scales each compiled function's cost per call up to a whole sum.
 `guards.check_expansion` refuses the expansion past 7 rows: CPython
 fails to compile the 4,140 terms of 8 rows.
@@ -49,13 +51,19 @@ def _expansion(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
+def _names(q: int) -> str:
+    """The local names c0, c1, ... that generated code binds to a profile's q entries."""
+    return ", ".join(f"c{cls}" for cls in range(q))
+
+
 def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
     """g over `_expansion(m)` as straight-line code: (lines, polynomial, adds, mults).
 
-    The lines bind each distinct block sum once, as b<mask>; the
-    polynomial combines them over the partitions.  adds and mults are
-    the additions and inner multiplications the code performs; a
-    coefficient of -1 is a subtraction, not a multiplication.
+    The code reads class cls of the profile as the local name c<cls>
+    (see `_names`).  The lines bind each distinct block sum once, as
+    b<mask>; the polynomial combines them over the partitions.  adds and
+    mults are the additions and inner multiplications the code performs;
+    a coefficient of -1 is a subtraction, not a multiplication.
     """
     guards.check_expansion(m, f"a column count over {1 << m} classes")
     lines = []
@@ -67,7 +75,7 @@ def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
             if bm not in summed:
                 summed.add(bm)
                 zero = _zero_classes(m, bm)
-                lines.append(f"    b{bm} = " + " + ".join(f"c[{cls}]" for cls in zero))
+                lines.append(f"    b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
                 adds += len(zero) - 1
         factors = [f"b{bm}" for bm in block_masks]
         if abs(coeff) != 1:
@@ -80,37 +88,48 @@ def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
 
 def _kernel_source(q: int) -> tuple[str, int, int]:
     lines, poly, adds, mults = _g_source(_tracked_rows(q))
-    return "\n".join(["def g(c):", *lines, f"    return {poly}"]), adds, mults
+    # m = 0 has no block sums: g is 1 and reads nothing
+    unpack = [f"    {_names(q)} = c"] if lines else []
+    return "\n".join(["def g(c):", *unpack, *lines, f"    return {poly}"]), adds, mults
 
 
 def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
     if bracket == "literal":
+        if q != 4:
+            raise ValueError(
+                f"the literal bracket is defined for k = 2 only, not k = {q.bit_length() - 1}"
+            )
         # the bracket as printed, with the fully-omitted class subtracted
         # instead of the fully-open one
-        lines, poly, adds, mults = (), "(c[0] + c[1]) * (c[0] + c[2]) - c[3]", 3, 1
-    else:
+        lines, poly, adds, mults = (), "(c0 + c1) * (c0 + c2) - c3", 3, 1
+    elif bracket == "derived":
         lines, poly, adds, mults = _g_source(_tracked_rows(q))
+    else:
+        raise ValueError(f"unknown bracket variant {bracket!r}")
     # one branch per lowest nonzero class j past 0: the step emptied class
-    # j - 1, which held v = c[0] + 1 floors (see `direct_sum`)
+    # j - 1, which held v = c0 + 1 floors (see `direct_sum`)
     odd = [profiles.class_weight(cls) & 1 for cls in range(q)]
     steps = []
     for j in range(1, q):
-        steps.append(f"        {'if' if j == 1 else 'elif'} c[{j}]:")
+        steps.append(f"        {'if' if j == 1 else 'elif'} c{j}:")
         if odd[j - 1]:
             signed = "w if v & 1 else -w" if odd[j] else "-w if v & 1 else w"
-            steps.append("            v = c[0] + 1")
-            steps.append(f"            w = ({signed}) * v // c[{j}]")
+            steps.append("            v = c0 + 1")
+            steps.append(f"            w = ({signed}) * v // c{j}")
         else:
-            steps.append(f"            w = {'-' if odd[j] else ''}w * (c[0] + 1) // c[{j}]")
+            steps.append(f"            w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}")
     source = "\n".join([
         "def direct_sum(stream, n):",
-        "    total = terms = 0",
+        "    acc = {}",
+        "    get = acc.get",
+        "    terms = 0",
         "    w = 1",
-        "    for terms, c in enumerate(stream, 1):",
+        f"    for terms, ({_names(q)}) in enumerate(stream, 1):",
         *steps,
         *(line.replace("    ", "        ", 1) for line in lines),
-        f"        total += w * ({poly}) ** n",
-        "    return total, terms",
+        f"        g = {poly}",
+        "        acc[g] = get(g, 0) + w",
+        "    return sum(w * g ** n for g, w in acc.items()), terms, len(acc)",
     ])
     return source, adds, mults
 
@@ -125,35 +144,40 @@ def _compiled(source: str, name: str):
 def _kernel(q: int):
     """g for profiles of length q = 2^m, compiled once: (function, adds, mults).
 
-    The function is `_g_source(m)`'s straight-line code: it adds up each
-    distinct block sum once, then combines the partitions.  At m = 2 its
-    source is
+    The function is `_g_source(m)`'s straight-line code: it binds the
+    profile's entries to local names, adds up each distinct block sum
+    once, then combines the partitions.  At m = 2 its source is
 
         def g(c):
-            b1 = c[0] + c[2]
-            b2 = c[0] + c[1]
-            b3 = c[0]
+            c0, c1, c2, c3 = c
+            b1 = c0 + c2
+            b2 = c0 + c1
+            b3 = c0
             return b1 * b2 - b3
 
-    and `direct_sum` builds the whole direct-L sum around the same code:
+    and `direct_sum` builds the whole direct-L sum around the same code,
+    unpacking each profile in its loop target:
 
         def direct_sum(stream, n):
-            total = terms = 0
+            acc = {}
+            get = acc.get
+            terms = 0
             w = 1
-            for terms, c in enumerate(stream, 1):
-                if c[1]:
-                    w = -w * (c[0] + 1) // c[1]
-                elif c[2]:
-                    v = c[0] + 1
-                    w = (w if v & 1 else -w) * v // c[2]
-                elif c[3]:
-                    v = c[0] + 1
-                    w = (-w if v & 1 else w) * v // c[3]
-                b1 = c[0] + c[2]
-                b2 = c[0] + c[1]
-                b3 = c[0]
-                total += w * (b1 * b2 - b3) ** n
-            return total, terms
+            for terms, (c0, c1, c2, c3) in enumerate(stream, 1):
+                if c1:
+                    w = -w * (c0 + 1) // c1
+                elif c2:
+                    v = c0 + 1
+                    w = (w if v & 1 else -w) * v // c2
+                elif c3:
+                    v = c0 + 1
+                    w = (-w if v & 1 else w) * v // c3
+                b1 = c0 + c2
+                b2 = c0 + c1
+                b3 = c0
+                g = b1 * b2 - b3
+                acc[g] = get(g, 0) + w
+            return sum(w * g ** n for g, w in acc.items()), terms, len(acc)
 
     adds and mults are the additions and inner multiplications one call
     of g performs, which `tallies.add_sum_ops` counts once per sum.
@@ -167,10 +191,11 @@ def direct_sum(q: int, bracket: str = "derived"):
     """The direct-L sum for profiles of length q = 2^k, compiled once: (function, adds, mults).
 
     `direct_sum(stream, n)` takes `profiles.compositions(n, k)` and
-    returns (total, terms): total is the sum over its profiles c of
-    sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket is
-    g over all k rows (`_kernel`'s polynomial) or, for k = 2 and bracket
-    "literal", (c0 + c1)(c0 + c2) - c3.
+    returns (total, terms, distinct): total is the sum over its profiles
+    c of sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket
+    is g over all k rows (`_kernel`'s polynomial) or, for k = 2 and
+    bracket "literal", (c0 + c1)(c0 + c2) - c3.  Any other bracket, or
+    "literal" at q != 4, raises ValueError.
 
     The signed multinomial w is carried along the colex walk, which must
     therefore start at (n, 0, ..., 0), where w = 1.  The step into a
@@ -178,9 +203,16 @@ def direct_sum(q: int, bracket: str = "derived"):
     one went to class j, the lowest nonzero class past 0, and the rest
     to class 0.  So w <- w * v // c[j], an exact quotient, and w changes
     sign iff (v & odd(j - 1)) ^ odd(j), where odd(u) is the parity of
-    class u's weight, as in `profiles.sign`.  adds and mults are the
-    additions and inner multiplications the bracket performs once per
-    term; the two multiplications of a step are not among them.
+    class u's weight, as in `profiles.sign`.
+
+    Like terms are collected: acc maps each bracket value to the sum of
+    the weights of the profiles that have it, and each of its `distinct`
+    values is raised to the n-th power once.  That is exact, and cheap
+    because the bracket is a polynomial of degree k in block sums of at
+    most n, so it takes O(n^k) values over O(n^(q-1)) profiles: 1,081
+    over 116,280 at k=3 n=14.  adds and mults are the additions and
+    inner multiplications the bracket performs once per term; the two
+    multiplications of a step are not among them.
     """
     source, adds, mults = _sum_source(q, bracket)
     return _compiled(source, "direct_sum"), adds, mults

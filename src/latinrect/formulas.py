@@ -11,7 +11,9 @@ classes of all k rows.  All arithmetic is exact integers end to end.
 
 The direct-L sum is one call of a function compiled once per k
 (`column_counts.direct_sum`): it carries the signed multinomial along
-the colex walk and adds up block sums, bracket and power per profile.
+the colex walk, adds up block sums and the bracket per profile, and
+sums the weights per bracket value, so that each distinct bracket is
+raised to the n-th power once.
 Neither sum counts operations as it goes: `tallies.add_sum_ops` adds
 each sum's op counts once, from its compiled kernel's cost per call.
 
@@ -94,10 +96,6 @@ def _evaluate(
         raise ValueError(f"need threads >= 1, got {threads}")
     direct = method == "direct-L"
     if direct:
-        if bracket not in ("derived", "literal"):
-            raise ValueError(f"unknown bracket variant {bracket!r}")
-        if bracket == "literal" and k != 2:
-            raise ValueError("the literal bracket variant is defined for k = 2 only")
         m = k
         what = f"direct total count for k={k}, n={n}"
     else:
@@ -107,18 +105,20 @@ def _evaluate(
     guards.check_expansion(m, what)
     q = 1 << m
     guards.check_terms(n, n, q, max_terms, what)
+    # direct_sum raises ValueError for a bracket other than the two it knows
     kernel, adds, mults = column_counts.direct_sum(q, bracket) if direct else column_counts._kernel(q)
 
     start = time.perf_counter()
     stream = profiles.compositions(n, m)
+    distinct = None
     if direct:
-        value, terms = kernel(stream, n)
+        value, terms, distinct = kernel(stream, n)
     elif threads == 1:
         value, terms = _reduced_sum(stream)
     else:
         value, terms = _pooled_sum(stream, threads)
     elapsed = time.perf_counter() - start
-    add_sum_ops(tally, n, q, adds, mults, direct)
+    add_sum_ops(tally, n, q, adds, mults, distinct)
 
     bridged = method == "factorial-bridge"
     if bridged:
@@ -199,12 +199,14 @@ def total_count_direct(
     so g(c) = 0 exactly when some T has S_T > n - |T|.  With T = all k
     rows, every term vanishes when 1 <= n < k.
 
-    Each term raises one per-column bracket to the n-th power; brackets
-    may be negative along the way, which is fine for exact integers.
-    The sum is one call of `column_counts.direct_sum`, compiled once per
-    k, which carries sign x multinomial along the walk, and its op
-    counts are added once per sum.  It runs on one thread at any
-    `threads`.
+    Each term is one per-column bracket to the n-th power times its
+    signed multinomial; brackets may be negative along the way, which is
+    fine for exact integers.  The sum is one call of
+    `column_counts.direct_sum`, compiled once per k, which carries sign
+    x multinomial along the walk and collects like terms: the weights of
+    the profiles that share a bracket value are summed, and each
+    distinct value is raised to the n-th power once.  Its op counts are
+    added once per sum.  It runs on one thread at any `threads`.
     `bracket` picks, for k = 2 only, between the partition-derived
     bracket (... - s00) and the literal variant (... - s11); the two
     sums agree everywhere they have been compared.

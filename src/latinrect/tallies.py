@@ -5,7 +5,9 @@ multiplications assembling the product of n per-column factors.  Those
 land in the ``assembly`` buckets, under two accountings: the
 multiplications actually performed (binary powering plus combining the
 per-class powers) and the naive model that builds each power g^s with
-s - 1 multiplications.  Everything else a term needs --
+s - 1 multiplications.  Direct-L collects like terms, so it performs
+one power g^n per distinct bracket value, not one per term; the naive
+model still charges every term n - 1.  Everything else a term needs --
 block sums, the column-choice polynomial, multinomial quotients,
 coefficient scaling -- costs a fixed number of operations once k is
 fixed; its multiplications are tallied in ``mults_inner`` and its
@@ -42,27 +44,33 @@ class OpTally:
         return self.mults_inner + self.mults_assembly
 
 
-def add_sum_ops(tally: OpTally, n: int, q: int, adds: int, mults: int, direct: bool) -> None:
+def add_sum_ops(
+    tally: OpTally, n: int, q: int, adds: int, mults: int, distinct: int | None
+) -> None:
     """Add one sum's op counts over the profiles of length q summing to n.
 
     adds and mults are one kernel call's cost: g's (`column_counts._kernel`)
-    or the direct-L bracket's (`column_counts.direct_sum`).  Of the T
-    terms, a direct-L term costs the bracket, an add and a mult into the
-    sum, and g**n; each step of the walk costs two mults for the weight.
-    A reduced term costs q multinomial mults and an add and a mult into
-    the sum; each of its nonzero classes costs a g, a power and, past
-    the first class, an assembly step.  There are Z = q C(n+q-2, q-1)
-    nonzero entries for n >= 1, C(n-c+q-2, q-2) per class equal to c,
-    `**` spends `_steps(c)` mults on g**c, and the naive model charges
-    every term n - 1.  That is O(n) integer operations per sum, and
-    n < T whenever q >= 2.
+    or the direct-L bracket's (`column_counts.direct_sum`).  distinct is
+    None for the reduced sum and, for direct-L, the number D of distinct
+    bracket values its kernel returned.  Of the T terms, a direct-L term
+    costs the bracket and an add of its weight into its bracket's
+    running sum, and each step of the walk costs two mults for the
+    weight; each distinct bracket then costs g**n, a mult by its summed
+    weight and, past the first, an add into the total.  A reduced term
+    costs q multinomial mults and an add and a mult into the sum; each
+    of its nonzero classes costs a g, a power and, past the first class,
+    an assembly step.  There are Z = q C(n+q-2, q-1) nonzero entries for
+    n >= 1, C(n-c+q-2, q-2) per class equal to c, `**` spends
+    `_steps(c)` mults on g**c, and the naive model charges every term
+    n - 1.  That is O(n) integer operations per sum, and n < T whenever
+    q >= 2.
     """
     terms = comb(n + q - 1, q - 1)
     tally.mults_assembly_naive += max(n - 1, 0) * terms
-    if direct:
-        tally.adds += (adds + 1) * terms
-        tally.mults_inner += (mults + 1) * terms + 2 * (terms - 1)
-        tally.mults_assembly += _steps(n) * terms if n else 0
+    if distinct is not None:
+        tally.adds += (adds + 1) * terms + distinct - 1
+        tally.mults_inner += mults * terms + 2 * (terms - 1) + distinct
+        tally.mults_assembly += _steps(n) * distinct if n else 0
         return
     tally.adds += terms
     tally.mults_inner += (q + 1) * terms

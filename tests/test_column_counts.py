@@ -149,27 +149,39 @@ def test_every_term_vanishes_when_n_is_below_k():
 
 
 def test_direct_term_is_signed_multinomial_times_powered_bracket():
-    # the generated sum, which carries sign x multinomial along the walk,
-    # against the paper's terms built from the public pieces:
-    # sign x multinomial(n; c) x g(c)^n over all k rows
+    # the generated sum, which carries sign x multinomial along the walk
+    # and collects like terms, against the paper's terms built from the
+    # public pieces: sign x multinomial(n; c) x g(c)^n over all k rows,
+    # with the number of distinct brackets
     for k, top in ((1, 6), (2, 8), (3, 5), (4, 3)):
         q = 1 << k
         direct = direct_sum(q)[0]
         for n in range(top + 1):
-            expected = sum(
-                sign(c) * multinomial(c) * choice_count(c) ** n for c in compositions(n, k)
-            )
-            assert direct(compositions(n, k), n) == (expected, comb(n + q - 1, q - 1)), (k, n)
+            brackets = [(c, choice_count(c)) for c in compositions(n, k)]
+            expected = sum(sign(c) * multinomial(c) * g**n for c, g in brackets)
+            distinct = len({g for _, g in brackets})
+            want = (expected, comb(n + q - 1, q - 1), distinct)
+            assert direct(compositions(n, k), n) == want, (k, n)
     literal = direct_sum(4, "literal")[0]
     negative_brackets = 0
     for n in range(9):
         expected = 0
+        seen = set()
         for c in compositions(n, 2):
             bracket = (c[0] + c[1]) * (c[0] + c[2]) - c[3]
             negative_brackets += bracket < 0
+            seen.add(bracket)
             expected += sign(c) * multinomial(c) * bracket**n
-        assert literal(compositions(n, 2), n) == (expected, comb(n + 3, 3)), n
+        assert literal(compositions(n, 2), n) == (expected, comb(n + 3, 3), len(seen)), n
     assert negative_brackets > 0
+
+
+def test_direct_sum_refuses_an_unknown_or_misplaced_bracket():
+    # the literal bracket names classes 0..3, so it exists at k = 2 only
+    for q, bracket in ((4, "inverted"), (8, "Literal"), (2, "literal"), (8, "literal"),
+                       (16, "literal")):
+        with pytest.raises(ValueError, match="bracket"):
+            direct_sum(q, bracket)
 
 
 def test_direct_bracket_vanishes_exactly_when_hall_fails():

@@ -97,11 +97,44 @@ def test_total_direct_agrees_with_bridge():
 
 
 def test_bracket_variants_agree():
-    for n in range(7):
+    for n in (*range(7), 60):
         assert (
             total_count_direct(2, n, "literal").value
             == total_count_direct(2, n, "derived").value
-        )
+        ), n
+
+
+def rectangle_divisor(k, n):
+    """n! (n-1)!/(n-k)!, which divides L_k(n) for n >= k.
+
+    L_k(n) = n! R_k(n), and (n-1)!/(n-k)! divides R_k(n): a symbol
+    relabeling that fixes 1, followed by the column permutation that
+    restores row 1, maps the reduced rectangles with first column
+    (1, x_2, ..., x_k) one-to-one onto those with any other first column
+    of distinct entries starting with 1.
+    """
+    return factorial(n) * factorial(n - 1) // factorial(n - k)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (2, 3, 4) for n in range(k, 9)])
+def test_direct_counts_have_the_rectangle_divisor(k, n):
+    value = total_count_direct(k, n).value
+    assert value > 0 and value % rectangle_divisor(k, n) == 0
+
+
+def test_two_row_direct_count_is_n_factorial_derangements_at_n_100():
+    # 176,851 profiles share far fewer brackets; the derangement sum
+    # shares no code with the profile sum
+    value = total_count_direct(2, 100).value
+    assert value == factorial(100) * derangements_classical(100)
+    assert value % rectangle_divisor(2, 100) == 0
+
+
+def test_three_row_direct_count_matches_the_bridge_at_n_16():
+    # 245,157 profiles over 8 classes against the reduced sum's 969
+    value = total_count_direct(3, 16).value
+    assert value == total_count(3, 16).value
+    assert value % rectangle_divisor(3, 16) == 0
 
 
 def test_literal_bracket_restricted_to_two_rows():
@@ -138,17 +171,19 @@ def test_parallel_evaluation_is_deterministic():
 @pytest.mark.parametrize(
     "k, n, bracket, adds, inner, assembly, naive",
     [
-        (3, 10, "derived", 330_616, 175_030, 77_792, 175_032),
-        (2, 9, "literal", 880, 878, 880, 1_760),
+        (3, 10, "derived", 330_954, 155_921, 1_356, 175_032),
+        (2, 9, "literal", 940, 719, 244, 1_760),
         (3, 0, "derived", 17, 7, 0, 0),
-        (1, 7, "derived", 8, 22, 32, 48),
+        (1, 7, "derived", 15, 22, 32, 48),
     ],
 )
 def test_direct_tallies(k, n, bracket, adds, inner, assembly, naive):
-    # terms x the fixed per-term cost (the bracket, the sum and g ** n),
-    # plus the weight's product and exact quotient on each of the
-    # terms - 1 steps of the walk: inner = terms x (bracket mults + 1)
-    # + 2 x (terms - 1), e.g. 19,448 x 7 + 2 x 19,447 at k=3 n=10
+    # T terms of fixed cost (the bracket and an add into its bracket's
+    # sum), the weight's product and exact quotient on each of the T - 1
+    # steps of the walk, and per distinct bracket value g ** n, a mult by
+    # its summed weight and an add into the total: at k=3 n=10, T = 19,448
+    # and D = 339, so adds = 17 T + D - 1, inner = 6 T + 2 (T - 1) + D and
+    # assembly = s(10) D = 4 x 339
     tally = OpTally()
     formulas._evaluate("direct-L", k, n, bracket=bracket, tally=tally)
     assert tally == OpTally(adds, inner, assembly, naive)

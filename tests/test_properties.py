@@ -1,5 +1,6 @@
 """Property-based checks of the algebraic identities."""
 
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
@@ -59,29 +60,35 @@ def signed_profiles(max_m=4):
     )
 
 
+@lru_cache(maxsize=None)
+def reference_expansion(m):
+    """g's definition over m rows, listed once: (terms, open classes, adds, mults).
+
+    terms holds each partition's signed coefficient and block bitmasks,
+    and open classes maps each distinct block B to the 2^(m - |B|)
+    classes that omit none of its rows.  adds and mults are the
+    additions and multiplications the definition implies when each
+    distinct block sum is added up once.
+    """
+    q = 1 << m
+    terms = [
+        (mobius_coefficient(p), [sum(1 << (e - 1) for e in block) for block in p.blocks])
+        for p in partitions_of(m)
+    ]
+    blocks = {bm: [cls for cls in range(q) if not cls & bm] for _, masks in terms for bm in masks}
+    adds = sum(len(classes) - 1 for classes in blocks.values()) + len(terms) - 1
+    mults = sum(max(len(masks) - 1, 0) + (abs(coeff) != 1) for coeff, masks in terms)
+    return terms, blocks, adds, mults
+
+
 def reference_choice_count(counts):
     """g from its definition: every partition's signed product of block sums.
 
-    Also returns the additions and multiplications that definition
-    implies when each distinct block sum is added up once: a block B
-    sums the 2^(m - |B|) classes that omit none of its rows.
+    Also returns the additions and multiplications of `reference_expansion`.
     """
-    m = (len(counts) - 1).bit_length()
-    sums = {}
-    total = adds = mults = 0
-    for p in partitions_of(m):
-        coeff = mobius_coefficient(p)
-        term = 1
-        for block in p.blocks:
-            if block not in sums:
-                rows = sum(1 << (e - 1) for e in block)
-                sums[block] = sum(c for cls, c in enumerate(counts) if not cls & rows)
-                adds += (1 << (m - len(block))) - 1
-            term *= sums[block]
-        total += coeff * term
-        mults += max(len(p.blocks) - 1, 0) + (abs(coeff) != 1)
-    adds += len(partitions_of(m)) - 1
-    return total, adds, mults
+    terms, blocks, adds, mults = reference_expansion((len(counts) - 1).bit_length())
+    sums = {bm: sum(counts[cls] for cls in classes) for bm, classes in blocks.items()}
+    return sum(coeff * prod(sums[bm] for bm in masks) for coeff, masks in terms), adds, mults
 
 
 @settings(max_examples=200)
@@ -205,9 +212,9 @@ def reference_power(base, exp):
     return acc, steps
 
 
-def sum_ops(n, q, adds, mults, direct=False):
+def sum_ops(n, q, adds, mults, distinct=None):
     tally = OpTally()
-    add_sum_ops(tally, n, q, adds, mults, direct)
+    add_sum_ops(tally, n, q, adds, mults, distinct)
     return tally
 
 
@@ -236,50 +243,62 @@ def test_assembly_product_is_the_product_of_its_factors(values):
     assert assembly_product(values) == expected
 
 
-def reference_sum_ops(n, m, adds, mults, direct):
+def reference_sum_ops(n, m, adds, mults, bracket=None):
     """One sum's op counts, summed term by term over `compositions(n, m)`.
 
-    A reduced term costs q multinomial mults, one mult and one add into
-    the sum, and per nonzero class one g, its power and, past the first
-    class, one assembly step.  A direct-L term costs the bracket, one
-    add and one mult into the sum and the power g ** n; each step of
-    the walk after the first profile costs two mults for the weight.
+    A reduced term (bracket None) costs q multinomial mults, one mult
+    and one add into the sum, and per nonzero class one g, its power
+    and, past the first class, one assembly step.  A direct-L term costs
+    the bracket and one add into its bracket's sum; each step of the walk
+    after the first profile costs two mults for the weight; each distinct
+    value of `bracket` over the profiles costs the power g ** n, one mult
+    by its summed weight and, past the first, one add into the total.
+    Returns the tally and the number D of distinct brackets (None for
+    the reduced sum).
     """
     q = 1 << m
     steps = [reference_power(1, exp)[1] for exp in range(n + 1)]
     tally = OpTally()
+    values = set()
     for i, profile in enumerate(compositions(n, m)):
-        if direct:
-            used, extra = [n] if n else [], 0
+        if bracket:
+            values.add(bracket(profile))
             tally.adds += adds + 1
-            tally.mults_inner += mults + 1 + (2 if i else 0)
+            tally.mults_inner += mults + (2 if i else 0)
+            tally.mults_assembly_naive += max(n - 1, 0)
         else:
             used = [c for c in profile if c]
             extra = max(len(used) - 1, 0)
             tally.adds += 1 + adds * len(used)
             tally.mults_inner += q + 1 + mults * len(used)
-        tally.mults_assembly += sum(steps[c] for c in used) + extra
-        tally.mults_assembly_naive += sum(used) - len(used) + extra
-    return tally
+            tally.mults_assembly += sum(steps[c] for c in used) + extra
+            tally.mults_assembly_naive += sum(used) - len(used) + extra
+    if not bracket:
+        return tally, None
+    distinct = len(values)
+    tally.adds += distinct - 1
+    tally.mults_inner += distinct
+    tally.mults_assembly += steps[n] * distinct
+    return tally, distinct
 
 
 def test_sum_ops_equals_the_per_term_reference():
     # k = 1..5 at n <= 8 and k = 2 at n <= 60, except where the walks
     # pass about 10^5 profiles: reduced k = 5 stops at n = 7, and
     # direct-L k = 2 at n = 30, k = 4 at n = 6 and k = 5 at n = 3
-    literal = (3, 1)  # (c0 + c1)(c0 + c2) - c3: three adds, one mult
+    literal = (lambda c: (c[0] + c[1]) * (c[0] + c[2]) - c[3], 3, 1)
     last_n = {1: 8, 2: 60, 3: 8, 4: 8, 5: 7}
     last_direct_n = {1: 8, 2: 30, 3: 8, 4: 6, 5: 3}
     for k in range(1, 6):
         m = k - 1
         _, adds, mults = reference_choice_count((0,) * (1 << m))
         for n in range(last_n[k] + 1):
-            want = reference_sum_ops(n, m, adds, mults, False)
+            want, _ = reference_sum_ops(n, m, adds, mults)
             assert sum_ops(n, 1 << m, adds, mults) == want, (k, n)
-        brackets = [reference_choice_count((0,) * (1 << k))[1:]]
-        if k == 2:
-            brackets.append(literal)
-        for adds, mults in brackets:
+        derived = (lambda c: reference_choice_count(c)[0], *reference_expansion(k)[2:])
+        brackets = [derived, literal] if k == 2 else [derived]
+        for bracket, adds, mults in brackets:
             for n in range(last_direct_n[k] + 1):
-                want = reference_sum_ops(n, k, adds, mults, True)
-                assert sum_ops(n, 1 << k, adds, mults, True) == want, (k, n, adds, mults)
+                want, distinct = reference_sum_ops(n, k, adds, mults, bracket)
+                got = sum_ops(n, 1 << k, adds, mults, distinct)
+                assert got == want, (k, n, adds, mults)
