@@ -1,6 +1,7 @@
 """Empirical operation counts for the reduced-count formula.
 
-`measure` evaluates one (k, n) on its own tally and reports:
+`measure` evaluates one (k, n) and reports, from the tally the
+evaluation returns:
 
 * ``terms``             -- profiles summed over, exactly C(n+2^(k-1)-1, 2^(k-1)-1);
 * ``adds``              -- every exact-integer addition the evaluation performs;
@@ -23,7 +24,9 @@ applies to ``adds``: per term they are constant only for fixed k.
 Big-integer operations count 1 each regardless of operand size.
 
 `sweep` runs a range of n single-threaded and fits ordinary least
-squares to log(series total) against log(n) for each series.
+squares to log(series total) against log(n) for each series;
+`csv_text` and `json_lines_text` render a sweep as the text `bench`
+prints.
 """
 
 import json
@@ -31,7 +34,6 @@ import math
 from collections import namedtuple
 
 from . import formulas, guards
-from .tallies import OpTally
 
 CSV_HEADER = "k,n,terms,adds,mults_actual,mults_paper_model,elapsed_ms"
 FIT_SERIES = ("terms", "adds", "mults_actual", "mults_paper_model")
@@ -48,9 +50,8 @@ Sweep = namedtuple("Sweep", "reports exponents")
 
 def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
     """Single-threaded evaluation of the reduced count, with its op breakdown."""
-    tally = OpTally()
-    stats = formulas._evaluate("formula", k, n, max_terms=max_terms, tally=tally).stats
-    terms = stats.terms
+    result, tally = formulas._evaluate("formula", k, n, max_terms=max_terms)
+    terms = result.stats.terms
     expected = guards.composition_count(n, 1 << (k - 1))
     if terms != expected:
         raise AssertionError(
@@ -64,7 +65,7 @@ def measure(k: int, n: int, *, max_terms: int | None = None) -> CostReport:
         mults_actual=tally.mults_assembly,
         mults_paper_model=tally.mults_assembly_naive,
         mults_inner=tally.mults_inner,
-        elapsed=stats.elapsed,
+        elapsed=result.stats.elapsed,
     )
 
 
@@ -91,46 +92,44 @@ def sweep(k: int, n_values, *, max_terms: int | None = None) -> Sweep:
     return Sweep(reports=reports, exponents=fitted_exponents(reports))
 
 
-def write_csv(stream, sw: Sweep) -> None:
+def csv_text(sw: Sweep) -> str:
     """CSV rows per the fixed header, fit results as '#' footer metadata."""
-    stream.write(CSV_HEADER + "\n")
+    lines = [CSV_HEADER]
     for r in sw.reports:
-        stream.write(
+        lines.append(
             f"{r.k},{r.n},{r.terms},{r.adds},{r.mults_actual},"
-            f"{r.mults_paper_model},{r.elapsed * 1000.0:.3f}\n"
+            f"{r.mults_paper_model},{r.elapsed * 1000.0:.3f}"
         )
     for name in FIT_SERIES:
         value = sw.exponents.get(name)
         rendered = "absent" if value is None else f"{value:.4f}"
-        stream.write(f"# fitted_exponent_{name}={rendered}\n")
-    stream.write(
+        lines.append(f"# fitted_exponent_{name}={rendered}")
+    lines.append(
         "# note=mult columns cover power-product assembly only; "
         "constant-per-term inner multiplications are reported as mults_inner "
-        "in JSON output\n"
+        "in JSON output"
     )
+    return "\n".join(lines) + "\n"
 
 
-def write_json_lines(stream, sw: Sweep) -> None:
+def json_lines_text(sw: Sweep) -> str:
     """One JSON object per report, then a summary object with the fits."""
-    for r in sw.reports:
-        stream.write(
-            json.dumps(
-                {
-                    "k": r.k,
-                    "n": r.n,
-                    "terms": str(r.terms),
-                    "adds": str(r.adds),
-                    "mults_actual": str(r.mults_actual),
-                    "mults_paper_model": str(r.mults_paper_model),
-                    "mults_inner": str(r.mults_inner),
-                    "elapsed_ms": r.elapsed * 1000.0,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+    records = [
+        {
+            "k": r.k,
+            "n": r.n,
+            "terms": str(r.terms),
+            "adds": str(r.adds),
+            "mults_actual": str(r.mults_actual),
+            "mults_paper_model": str(r.mults_paper_model),
+            "mults_inner": str(r.mults_inner),
+            "elapsed_ms": r.elapsed * 1000.0,
+        }
+        for r in sw.reports
+    ]
     exps = {
         name: (None if sw.exponents.get(name) is None else round(sw.exponents[name], 4))
         for name in FIT_SERIES
     }
-    stream.write(json.dumps({"fitted_exponents": exps}, separators=(",", ":")) + "\n")
+    records.append({"fitted_exponents": exps})
+    return "".join(json.dumps(rec, separators=(",", ":")) + "\n" for rec in records)

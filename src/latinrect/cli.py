@@ -7,7 +7,6 @@ integers almost immediately.  Exit codes: 0 success, 1 usage error,
 """
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -218,12 +217,8 @@ def _cmd_bench(args):
     _check_range(args)
     lo, hi = args.n
     sw = bench.sweep(args.k, range(lo, hi + 1), max_terms=args.max_terms)
-    buf = io.StringIO()
-    if args.format == "json":
-        bench.write_json_lines(buf, sw)
-    else:
-        bench.write_csv(buf, sw)
-    return buf.getvalue(), None
+    render = bench.json_lines_text if args.format == "json" else bench.csv_text
+    return render(sw), None
 
 
 def _cmd_oracle(args):

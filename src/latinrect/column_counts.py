@@ -8,9 +8,9 @@ over set partitions of the row set weighted by the signed coefficients
 from `partitions`.  Partitions share blocks, so the expansion for m
 rows is compiled once into straight-line code that adds up each
 distinct block sum once (`_kernel`); `direct_sum` compiles the same
-code into the whole direct-L sum, which carries each term's sign and
-multinomial from one profile of the colex walk to the next instead of
-recomputing them, and collects like terms: it sums the weights of the
+code into the whole direct-L sum, which walks the profiles of n in
+colex order itself, carries each term's sign and multinomial from one
+profile to the next instead of recomputing them, and collects like terms: it sums the weights of the
 profiles that share a bracket value and raises each distinct value to
 the n-th power once.  Nothing here counts operations: `tallies.add_sum_ops`
 scales each compiled function's cost per call up to a whole sum.
@@ -94,16 +94,15 @@ def _kernel_source(q: int) -> tuple[str, int, int]:
 
 
 def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
+    m = _tracked_rows(q)
     if bracket == "literal":
         if q != 4:
-            raise ValueError(
-                f"the literal bracket is defined for k = 2 only, not k = {q.bit_length() - 1}"
-            )
+            raise ValueError(f"the literal bracket is defined for k = 2 only, not k = {m}")
         # the bracket as printed, with the fully-omitted class subtracted
         # instead of the fully-open one
         lines, poly, adds, mults = (), "(c0 + c1) * (c0 + c2) - c3", 3, 1
     elif bracket == "derived":
-        lines, poly, adds, mults = _g_source(_tracked_rows(q))
+        lines, poly, adds, mults = _g_source(m)
     else:
         raise ValueError(f"unknown bracket variant {bracket!r}")
     # one branch per lowest nonzero class j past 0: the step emptied class
@@ -119,12 +118,12 @@ def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
         else:
             steps.append(f"            w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}")
     source = "\n".join([
-        "def direct_sum(stream, n):",
+        "def direct_sum(n):",
         "    acc = {}",
         "    get = acc.get",
         "    terms = 0",
         "    w = 1",
-        f"    for terms, ({_names(q)}) in enumerate(stream, 1):",
+        f"    for terms, ({_names(q)}) in enumerate(profiles.compositions(n, {m}), 1):",
         *steps,
         *(line.replace("    ", "        ", 1) for line in lines),
         f"        g = {poly}",
@@ -135,7 +134,9 @@ def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
 
 
 def _compiled(source: str, name: str):
-    namespace = {}
+    # generated code looks `profiles.compositions` up at each call, so a
+    # rebinding of that name reaches the compiled walk too
+    namespace = {"profiles": profiles}
     exec(source, namespace)
     return namespace[name]
 
@@ -156,14 +157,14 @@ def _kernel(q: int):
             return b1 * b2 - b3
 
     and `direct_sum` builds the whole direct-L sum around the same code,
-    unpacking each profile in its loop target:
+    walking the profiles itself and unpacking each one in its loop target:
 
-        def direct_sum(stream, n):
+        def direct_sum(n):
             acc = {}
             get = acc.get
             terms = 0
             w = 1
-            for terms, (c0, c1, c2, c3) in enumerate(stream, 1):
+            for terms, (c0, c1, c2, c3) in enumerate(profiles.compositions(n, 2), 1):
                 if c1:
                     w = -w * (c0 + 1) // c1
                 elif c2:
@@ -190,20 +191,21 @@ def _kernel(q: int):
 def direct_sum(q: int, bracket: str = "derived"):
     """The direct-L sum for profiles of length q = 2^k, compiled once: (function, adds, mults).
 
-    `direct_sum(stream, n)` takes `profiles.compositions(n, k)` and
-    returns (total, terms, distinct): total is the sum over its profiles
-    c of sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket
+    `direct_sum(n)` walks `profiles.compositions(n, k)` and returns
+    (total, terms, distinct): total is the sum over those profiles c of
+    sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket
     is g over all k rows (`_kernel`'s polynomial) or, for k = 2 and
     bracket "literal", (c0 + c1)(c0 + c2) - c3.  Any other bracket, or
     "literal" at q != 4, raises ValueError.
 
-    The signed multinomial w is carried along the colex walk, which must
-    therefore start at (n, 0, ..., 0), where w = 1.  The step into a
-    later profile c emptied class j - 1, which held v = c[0] + 1 floors:
-    one went to class j, the lowest nonzero class past 0, and the rest
-    to class 0.  So w <- w * v // c[j], an exact quotient, and w changes
-    sign iff (v & odd(j - 1)) ^ odd(j), where odd(u) is the parity of
-    class u's weight, as in `profiles.sign`.
+    The signed multinomial w is carried along the colex walk, which
+    starts at (n, 0, ..., 0), where w = 1; the walk is the compiled
+    function's own, so nothing outside it depends on that order.  The
+    step into a later profile c emptied class j - 1, which held
+    v = c[0] + 1 floors: one went to class j, the lowest nonzero class
+    past 0, and the rest to class 0.  So w <- w * v // c[j], an exact
+    quotient, and w changes sign iff (v & odd(j - 1)) ^ odd(j), where
+    odd(u) is the parity of class u's weight, as in `profiles.sign`.
 
     Like terms are collected: acc maps each bracket value to the sum of
     the weights of the profiles that have it, and each of its `distinct`

@@ -10,12 +10,14 @@ rows 2..k, `total_count` multiplies the sum by n!, and
 classes of all k rows.  All arithmetic is exact integers end to end.
 
 The direct-L sum is one call of a function compiled once per k
-(`column_counts.direct_sum`): it carries the signed multinomial along
-the colex walk, adds up block sums and the bracket per profile, and
-sums the weights per bracket value, so that each distinct bracket is
-raised to the n-th power once.
-Neither sum counts operations as it goes: `tallies.add_sum_ops` adds
-each sum's op counts once, from its compiled kernel's cost per call.
+(`column_counts.direct_sum`): it walks the profiles of n itself, carries
+the signed multinomial along that colex walk, adds up block sums and the
+bracket per profile, and sums the weights per bracket value, so that
+each distinct bracket is raised to the n-th power once.
+Neither sum counts operations as it goes.  Each evaluation makes one
+`OpTally`, to which `tallies.add_sum_ops` adds the sum's op counts once,
+from its compiled kernel's cost per call, and the factorial bridge its
+one multiplication by n!; the result's statistics are read off it.
 
 The direct-L sum runs on one thread, whatever `threads` is, since each
 profile's weight comes from the one before.  The reduced sum is serial
@@ -82,11 +84,11 @@ def _evaluate(
     bracket: str = "derived",
     threads: int = 1,
     max_terms: int | None = None,
-    tally: OpTally,
-) -> CountResult:
+) -> tuple[CountResult, OpTally]:
     """The one evaluator behind the formula, factorial-bridge and direct-L methods.
 
-    The caller owns `tally`, to which the run's operation counts are added.
+    Returns the result and the evaluation's own tally, whose counts are
+    the result's `stats.adds` and `stats.mults`.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -109,23 +111,23 @@ def _evaluate(
     kernel, adds, mults = column_counts.direct_sum(q, bracket) if direct else column_counts._kernel(q)
 
     start = time.perf_counter()
-    stream = profiles.compositions(n, m)
     distinct = None
     if direct:
-        value, terms, distinct = kernel(stream, n)
+        value, terms, distinct = kernel(n)
     elif threads == 1:
-        value, terms = _reduced_sum(stream)
+        value, terms = _reduced_sum(profiles.compositions(n, m))
     else:
-        value, terms = _pooled_sum(stream, threads)
+        value, terms = _pooled_sum(profiles.compositions(n, m), threads)
     elapsed = time.perf_counter() - start
+    tally = OpTally()
     add_sum_ops(tally, n, q, adds, mults, distinct)
 
-    bridged = method == "factorial-bridge"
-    if bridged:
+    if method == "factorial-bridge":
         value *= factorial(n)
-    stats = EvalStats(terms, tally.adds, tally.mults_total + bridged, elapsed)
+        tally.mults_inner += 1
+    stats = EvalStats(terms, tally.adds, tally.mults_total, elapsed)
     variant = "reduced" if method == "formula" else "total"
-    return CountResult(k, n, variant, method, value, stats)
+    return CountResult(k, n, variant, method, value, stats), tally
 
 
 def reduced_count(
@@ -152,7 +154,7 @@ def reduced_count(
     Hall's theorem, some column (there is one, as n >= 1) has no picks.
     Take T = rows 2..k: S_T = s_{1..1} >= 0 >= n - (k - 1) when n < k.
     """
-    return _evaluate("formula", k, n, threads=threads, max_terms=max_terms, tally=OpTally())
+    return _evaluate("formula", k, n, threads=threads, max_terms=max_terms)[0]
 
 
 def total_count(
@@ -162,10 +164,12 @@ def total_count(
     threads: int = 1,
     max_terms: int | None = None,
 ) -> CountResult:
-    """n! times the reduced count: all k-by-n Latin rectangles."""
-    return _evaluate(
-        "factorial-bridge", k, n, threads=threads, max_terms=max_terms, tally=OpTally()
-    )
+    """n! times the reduced count: all k-by-n Latin rectangles.
+
+    Its stats are the reduced count's plus the multiplication by n!,
+    which is tallied as one inner multiplication.
+    """
+    return _evaluate("factorial-bridge", k, n, threads=threads, max_terms=max_terms)[0]
 
 
 def total_count_direct(
@@ -211,9 +215,7 @@ def total_count_direct(
     bracket (... - s00) and the literal variant (... - s11); the two
     sums agree everywhere they have been compared.
     """
-    return _evaluate(
-        "direct-L", k, n, bracket=bracket, threads=threads, max_terms=max_terms, tally=OpTally()
-    )
+    return _evaluate("direct-L", k, n, bracket=bracket, threads=threads, max_terms=max_terms)[0]
 
 
 def derangements_classical(n: int) -> int:

@@ -24,6 +24,7 @@ class SuiteResult:
         self.failures = 0
         self.counterexample: str | None = None
         self.elapsed = 0.0  # seconds
+        self.notes: list[str] = []  # findings worth reporting even when every check passes
 
     def record(self, ok: bool, detail: str) -> None:
         self.checks += 1
@@ -147,10 +148,10 @@ def _suite_zero_rule(max_k: int) -> SuiteResult:
     return suite
 
 
-def _suite_closed_forms(max_n: int, notes: list[str]) -> SuiteResult:
+def _suite_closed_forms(max_n: int) -> SuiteResult:
     """Two-row sanity counts with known closed forms, plus the two-hall probe.
 
-    The probe's verdict is appended to `notes`.
+    The probe's verdict is one of the suite's notes.
     """
     suite = SuiteResult("two-row-closed-forms")
     top = min(max(max_n, 5), oracle.LONELY_HALL_MAX_N)
@@ -176,13 +177,13 @@ def _suite_closed_forms(max_n: int, notes: list[str]) -> SuiteResult:
         )
         if n == 5:
             if got == full_exp != short_exp:
-                notes.append(
+                suite.notes.append(
                     f"two omitted halls at n=5: oracle count {got} matches "
                     f"(n-2)^2*(n-3)^(n-2); the (n-2)^2*(n-3)^(n-3) variant "
                     f"gives {short_exp} and is ruled out"
                 )
             elif got == short_exp:
-                notes.append(
+                suite.notes.append(
                     f"two omitted halls at n=5: oracle count {got} matches "
                     f"(n-2)^2*(n-3)^(n-3)"
                 )
@@ -193,14 +194,13 @@ def run_selftest(*, max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> S
     """Run every suite at the given depth, timing each; smallest cases first."""
     if max_k < 2 or max_n < 1:
         raise ValueError("selftest depth needs max_k >= 2 and max_n >= 1")
-    notes: list[str] = []
     runs = (
         lambda: _suite_derangements(max(max_n, 6)),
         lambda: _suite_formula_vs_oracle(min(max_k + 1, 4), max_n),
         lambda: _suite_config_vs_oracle(min(max_k, 3), max_n),
         lambda: _suite_bracket_variants(max_n),
         lambda: _suite_zero_rule(max_k),
-        lambda: _suite_closed_forms(max_n, notes),
+        lambda: _suite_closed_forms(max_n),
     )
     suites = []
     for run in runs:
@@ -208,4 +208,4 @@ def run_selftest(*, max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> S
         suite = run()
         suite.elapsed = time.perf_counter() - start
         suites.append(suite)
-    return SelftestReport(suites=tuple(suites), notes=tuple(notes))
+    return SelftestReport(suites=tuple(suites), notes=tuple(n for s in suites for n in s.notes))

@@ -12,8 +12,9 @@ block sums, the column-choice polynomial, multinomial quotients,
 coefficient scaling -- costs a fixed number of operations once k is
 fixed; its multiplications are tallied in ``mults_inner`` and its
 additions in ``adds``.  Quotients of factorial-table entries count as
-multiplications (same cost class).  No term code counts anything:
-`add_sum_ops` adds a whole sum's counts at once.
+multiplications (same cost class), and so does the factorial bridge's
+one multiplication by n!.  No term code counts anything: `add_sum_ops`
+adds a whole sum's counts at once, to the tally its evaluation made.
 """
 
 from math import comb, prod

@@ -1,10 +1,9 @@
-import io
 import json
 from math import comb
 
 import pytest
 
-from latinrect.bench import CSV_HEADER, fitted_exponents, measure, sweep, write_csv, write_json_lines
+from latinrect.bench import CSV_HEADER, csv_text, fitted_exponents, json_lines_text, measure, sweep
 from latinrect.guards import ResourceGuardError
 
 
@@ -68,9 +67,7 @@ def test_fitted_exponents_skip_zero_values():
 
 def test_csv_emission():
     result = sweep(2, range(4, 9))
-    buf = io.StringIO()
-    write_csv(buf, result)
-    lines = buf.getvalue().splitlines()
+    lines = csv_text(result).splitlines()
     assert lines[0] == CSV_HEADER
     data = [line for line in lines[1:] if not line.startswith("#")]
     footer = [line for line in lines[1:] if line.startswith("#")]
@@ -81,9 +78,7 @@ def test_csv_emission():
 
 def test_json_lines_emission():
     result = sweep(3, range(3, 6))
-    buf = io.StringIO()
-    write_json_lines(buf, result)
-    lines = buf.getvalue().splitlines()
+    lines = json_lines_text(result).splitlines()
     records = [json.loads(line) for line in lines]
     assert len(records) == 4
     for rec in records[:-1]:

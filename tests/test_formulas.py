@@ -137,6 +137,14 @@ def test_three_row_direct_count_matches_the_bridge_at_n_16():
     assert value % rectangle_divisor(3, 16) == 0
 
 
+def test_four_row_count_matches_the_pinned_oracle_value_at_n_16():
+    # R_4(16) as the brute-force oracle computed it in 11.3 s, past its
+    # tier-1 reach; the reduced sum walks 245,157 profiles over 8 classes
+    value = reduced_count(4, 16).value
+    assert value == 17237448791456599571078045378751528960
+    assert value % (rectangle_divisor(4, 16) // factorial(16)) == 0
+
+
 def test_literal_bracket_restricted_to_two_rows():
     with pytest.raises(ValueError):
         total_count_direct(3, 3, "literal")
@@ -161,8 +169,7 @@ def test_parallel_evaluation_is_deterministic():
     for method, k, n, bracket in cases:
         runs = []
         for threads in (1, 2, 4):
-            tally = OpTally()
-            result = formulas._evaluate(method, k, n, bracket=bracket, threads=threads, tally=tally)
+            result, tally = formulas._evaluate(method, k, n, bracket=bracket, threads=threads)
             stats = result.stats
             runs.append((result.value, stats.terms, stats.adds, stats.mults, tally))
         assert runs[1] == runs[0] and runs[2] == runs[0], (method, k, n, bracket)
@@ -184,9 +191,29 @@ def test_direct_tallies(k, n, bracket, adds, inner, assembly, naive):
     # its summed weight and an add into the total: at k=3 n=10, T = 19,448
     # and D = 339, so adds = 17 T + D - 1, inner = 6 T + 2 (T - 1) + D and
     # assembly = s(10) D = 4 x 339
-    tally = OpTally()
-    formulas._evaluate("direct-L", k, n, bracket=bracket, tally=tally)
+    _, tally = formulas._evaluate("direct-L", k, n, bracket=bracket)
     assert tally == OpTally(adds, inner, assembly, naive)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stats_are_the_returned_tally(threads):
+    # each evaluation makes one tally and reads its statistics off it; the
+    # bridge's multiplication by n! is the one op it adds to the formula's
+    for k in range(1, 5):
+        for n in range(6):
+            runs = {}
+            for method, bracket in (("formula", "derived"), ("factorial-bridge", "derived"),
+                                    ("direct-L", "derived"), ("direct-L", "literal")):
+                if bracket == "literal" and k != 2:
+                    continue
+                result, tally = formulas._evaluate(method, k, n, bracket=bracket, threads=threads)
+                assert (result.stats.adds, result.stats.mults) == (tally.adds, tally.mults_total)
+                runs[method] = tally
+            formula = runs["formula"]
+            assert runs["factorial-bridge"] == OpTally(
+                formula.adds, formula.mults_inner + 1, formula.mults_assembly,
+                formula.mults_assembly_naive,
+            ), (k, n)
 
 
 class _RecordingExecutor:
