@@ -10,10 +10,13 @@ rows is compiled once into straight-line code that adds up each
 distinct block sum once (`_kernel`); `direct_sum` compiles the same
 code into the whole direct-L sum, which walks the profiles of n in
 colex order itself, carries each term's sign and multinomial from one
-profile to the next instead of recomputing them, and collects like terms: it sums the weights of the
-profiles that share a bracket value and raises each distinct value to
-the n-th power once.  Nothing here counts operations: `tallies.add_sum_ops`
-scales each compiled function's cost per call up to a whole sum.
+profile to the next instead of recomputing them, steps the bracket by
+its differences (`_difference`) along classes 1 and 2 instead of
+evaluating it there, and collects like terms: it sums the weights of
+the profiles that share a bracket value and raises each distinct value
+to the n-th power once.  Nothing here counts operations:
+`tallies.add_sum_ops` scales each compiled function's cost per call, or
+per branch, up to a whole sum.
 `guards.check_expansion` refuses the expansion past 7 rows: CPython
 fails to compile the 4,140 terms of 8 rows.
 `config_count` multiplies per-column counts over a whole profile; the
@@ -56,34 +59,67 @@ def _names(q: int) -> str:
     return ", ".join(f"c{cls}" for cls in range(q))
 
 
+def _polynomial(terms) -> tuple[str, int, int]:
+    """Σ coeff Π b<mask> over (coefficient, block masks) terms, as code: (expression, adds, mults).
+
+    A coefficient of -1 is a subtraction, not a multiplication, and an
+    empty product is 1.
+    """
+    out = []
+    mults = 0
+    for coeff, block_masks in terms:
+        factors = [f"b{bm}" for bm in block_masks]
+        if abs(coeff) != 1:
+            factors.insert(0, str(abs(coeff)))
+        mults += max(len(factors) - 1, 0)
+        out.append(("- " if coeff < 0 else "+ ") + (" * ".join(factors) or "1"))
+    return " ".join(out).removeprefix("+ ") or "0", max(len(out) - 1, 0), mults
+
+
 def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
     """g over `_expansion(m)` as straight-line code: (lines, polynomial, adds, mults).
 
     The code reads class cls of the profile as the local name c<cls>
     (see `_names`).  The lines bind each distinct block sum once, as
     b<mask>; the polynomial combines them over the partitions.  adds and
-    mults are the additions and inner multiplications the code performs;
-    a coefficient of -1 is a subtraction, not a multiplication.
+    mults are the additions and inner multiplications the code performs.
     """
     guards.check_expansion(m, f"a column count over {1 << m} classes")
     lines = []
-    summed = set()
-    terms = []
-    adds = mults = 0
+    adds = 0
+    for bm in dict.fromkeys(bm for _, block_masks in _expansion(m) for bm in block_masks):
+        zero = _zero_classes(m, bm)
+        lines.append(f"    b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
+        adds += len(zero) - 1
+    poly, poly_adds, mults = _polynomial(_expansion(m))
+    return tuple(lines), poly, adds + poly_adds, mults
+
+
+@lru_cache(maxsize=None)
+def _difference(m: int, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """D_s over `_expansion(m)`: (coefficient, block masks) per distinct product.
+
+    D_s sums, over the partitions whose blocks each hold at most one
+    bit of s, the coefficient times the block sums of the blocks that
+    hold none; like products are collected and zero ones dropped.  D_0
+    is g.  For a bit j outside s, moving one floor from class 0 to class
+    2^j lowers D_s by D_(s | 2^j), evaluated at either profile:
+
+        D_s(c) - D_s(c - e_0 + e_(2^j)) = D_(s | 2^j)(c).
+
+    The move lowers by one exactly the block sums of the blocks that
+    hold j, since class 0 is in every block sum and class 2^j in those
+    of the blocks without j.  Each partition has one block holding j,
+    and its product is linear in that block's sum when the block holds
+    no bit of s; the partitions whose block of j holds a bit of s do
+    not change and are the ones D_(s | 2^j) leaves out.
+    """
+    collected = {}
     for coeff, block_masks in _expansion(m):
-        for bm in block_masks:
-            if bm not in summed:
-                summed.add(bm)
-                zero = _zero_classes(m, bm)
-                lines.append(f"    b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
-                adds += len(zero) - 1
-        factors = [f"b{bm}" for bm in block_masks]
-        if abs(coeff) != 1:
-            factors.insert(0, str(abs(coeff)))
-        mults += max(len(factors) - 1, 0)
-        terms.append(("- " if coeff < 0 else "+ ") + (" * ".join(factors) or "1"))
-    adds += len(terms) - 1
-    return tuple(lines), " ".join(terms).removeprefix("+ "), adds, mults
+        if all((bm & s).bit_count() <= 1 for bm in block_masks):
+            key = tuple(bm for bm in block_masks if not bm & s)
+            collected[key] = collected.get(key, 0) + coeff
+    return tuple((coeff, key) for key, coeff in collected.items() if coeff)
 
 
 def _kernel_source(q: int) -> tuple[str, int, int]:
@@ -93,30 +129,55 @@ def _kernel_source(q: int) -> tuple[str, int, int]:
     return "\n".join(["def g(c):", *unpack, *lines, f"    return {poly}"]), adds, mults
 
 
-def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
+def _indent(lines) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]:
     m = _tracked_rows(q)
+    if q < 2:
+        raise ValueError("the direct-L sum tracks k >= 1 rows")
     if bracket == "literal":
         if q != 4:
             raise ValueError(f"the literal bracket is defined for k = 2 only, not k = {m}")
         # the bracket as printed, with the fully-omitted class subtracted
-        # instead of the fully-open one
-        lines, poly, adds, mults = (), "(c0 + c1) * (c0 + c2) - c3", 3, 1
+        # instead of the fully-open one; its differences along classes 1
+        # and 2 are its two factors, and along both the constant 1
+        lines, poly, adds, mults = ("    b2 = c0 + c1", "    b1 = c0 + c2"), "b2 * b1 - c3", 3, 1
+        differences = [("b2", 0, 0), ("b1", 0, 0), ("1", 0, 0)]
     elif bracket == "derived":
         lines, poly, adds, mults = _g_source(m)
+        differences = [_polynomial(_difference(m, s)) for s in (1, 2, 3)] if q > 2 else []
     else:
         raise ValueError(f"unknown bracket variant {bracket!r}")
-    # one branch per lowest nonzero class j past 0: the step emptied class
-    # j - 1, which held v = c0 + 1 floors (see `direct_sum`)
     odd = [profiles.class_weight(cls) & 1 for cls in range(q)]
-    steps = []
-    for j in range(1, q):
-        steps.append(f"        {'if' if j == 1 else 'elif'} c{j}:")
+
+    def step(j):
+        # into a profile whose lowest nonzero class past 0 is j: the step
+        # emptied class j - 1, which held v = c0 + 1 floors (see `direct_sum`)
         if odd[j - 1]:
             signed = "w if v & 1 else -w" if odd[j] else "-w if v & 1 else w"
-            steps.append("            v = c0 + 1")
-            steps.append(f"            w = ({signed}) * v // c{j}")
-        else:
-            steps.append(f"            w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}")
+            return ["v = c0 + 1", f"w = ({signed}) * v // c{j}"]
+        return [f"w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}"]
+
+    bracket_lines = [*(line.removeprefix("    ") for line in lines), f"g = {poly}"]
+    if q == 2:
+        # k = 1: g is c0 itself, which no difference makes cheaper
+        body = ["if c1:", *_indent(step(1)), *bracket_lines]
+        step_costs = (0, 0), (0, 0)
+    else:
+        full = []
+        for j in range(3, q):
+            full += [f"{'if' if j == 3 else 'elif'} c{j}:", *_indent(step(j))]
+        d1, d2, d3 = (code for code, _, _ in differences)
+        full += [*bracket_lines, "if c0:",
+                 *_indent(["g2 = g", f"s1 = s12 = {d1}", f"s2 = {d2}", f"t = {d3}"])]
+        body = [
+            "if c1:", *_indent([*step(1), "g -= s1"]),
+            "elif c2:", *_indent([*step(2), "g = g2 = g2 - s2", "s1 = s12 = s12 - t"]),
+            "else:", *_indent(full),
+        ]
+        step_costs = (1, 0), (2, 0)
     source = "\n".join([
         "def direct_sum(n):",
         "    acc = {}",
@@ -124,13 +185,12 @@ def _sum_source(q: int, bracket: str) -> tuple[str, int, int]:
         "    terms = 0",
         "    w = 1",
         f"    for terms, ({_names(q)}) in enumerate(profiles.compositions(n, {m}), 1):",
-        *steps,
-        *(line.replace("    ", "        ", 1) for line in lines),
-        f"        g = {poly}",
+        *_indent(_indent(body)),
         "        acc[g] = get(g, 0) + w",
         "    return sum(w * g ** n for g, w in acc.items()), terms, len(acc)",
     ])
-    return source, adds, mults
+    differences_cost = sum(a for _, a, _ in differences), sum(x for _, _, x in differences)
+    return source, ((adds, mults), differences_cost, *step_costs)
 
 
 def _compiled(source: str, name: str):
@@ -157,7 +217,10 @@ def _kernel(q: int):
             return b1 * b2 - b3
 
     and `direct_sum` builds the whole direct-L sum around the same code,
-    walking the profiles itself and unpacking each one in its loop target:
+    walking the profiles itself and unpacking each one in its loop target.
+    It runs the block sums and g only on profiles whose lowest nonzero
+    class past 0 is neither class 1 nor class 2, and steps g along those
+    two classes by its differences s1 and s2 (see `direct_sum`):
 
         def direct_sum(n):
             acc = {}
@@ -167,16 +230,25 @@ def _kernel(q: int):
             for terms, (c0, c1, c2, c3) in enumerate(profiles.compositions(n, 2), 1):
                 if c1:
                     w = -w * (c0 + 1) // c1
+                    g -= s1
                 elif c2:
                     v = c0 + 1
                     w = (w if v & 1 else -w) * v // c2
-                elif c3:
-                    v = c0 + 1
-                    w = (-w if v & 1 else w) * v // c3
-                b1 = c0 + c2
-                b2 = c0 + c1
-                b3 = c0
-                g = b1 * b2 - b3
+                    g = g2 = g2 - s2
+                    s1 = s12 = s12 - t
+                else:
+                    if c3:
+                        v = c0 + 1
+                        w = (-w if v & 1 else w) * v // c3
+                    b1 = c0 + c2
+                    b2 = c0 + c1
+                    b3 = c0
+                    g = b1 * b2 - b3
+                    if c0:
+                        g2 = g
+                        s1 = s12 = b2 - 1
+                        s2 = b1 - 1
+                        t = 1
                 acc[g] = get(g, 0) + w
             return sum(w * g ** n for g, w in acc.items()), terms, len(acc)
 
@@ -189,14 +261,14 @@ def _kernel(q: int):
 
 @lru_cache(maxsize=None)
 def direct_sum(q: int, bracket: str = "derived"):
-    """The direct-L sum for profiles of length q = 2^k, compiled once: (function, adds, mults).
+    """The direct-L sum for profiles of length q = 2^k, compiled once: (function, costs).
 
     `direct_sum(n)` walks `profiles.compositions(n, k)` and returns
     (total, terms, distinct): total is the sum over those profiles c of
     sign(c) * multinomial(n; c) * bracket(c) ** n, where the bracket
     is g over all k rows (`_kernel`'s polynomial) or, for k = 2 and
-    bracket "literal", (c0 + c1)(c0 + c2) - c3.  Any other bracket, or
-    "literal" at q != 4, raises ValueError.
+    bracket "literal", (c0 + c1)(c0 + c2) - c3.  Any other bracket,
+    "literal" at q != 4, or q = 1 raises ValueError.
 
     The signed multinomial w is carried along the colex walk, which
     starts at (n, 0, ..., 0), where w = 1; the walk is the compiled
@@ -207,17 +279,35 @@ def direct_sum(q: int, bracket: str = "derived"):
     quotient, and w changes sign iff (v & odd(j - 1)) ^ odd(j), where
     odd(u) is the parity of class u's weight, as in `profiles.sign`.
 
+    At k >= 2 the bracket is affine along classes 1 and 2, which each
+    omit a single row's hall: a floor moved there from class 0 lowers by
+    one every block sum of a block holding that row, and each partition
+    has exactly one such block.  With j = 1 the step is c - e_0 + e_1,
+    so g drops by D_1 (see `_difference`), which that step leaves
+    unchanged.  With j = 2, let p be the start of the run of j = 1 steps
+    that just ended, the last profile with c[1] = 0; then c = p - e_0 +
+    e_2, so g(c) = g(p) - D_2(p) and D_1(c) = D_1(p) - D_3(p), while D_2
+    and D_3 keep their values at p.  The code holds g(p) as g2 and D_1(p)
+    as s12.  For the literal bracket D_1, D_2 and D_3 are c0 + c1,
+    c0 + c2 and 1.  Every other profile (j >= 3, and the first) takes the
+    block sums and g in full, and then the differences only if c0 >= 1:
+    with c0 = 0 the next step has j >= 3 again, and skipping them there
+    keeps k = 5 from paying for differences it never uses.  At k = 1 the
+    bracket is c0 itself, and every profile takes it in full.
+
     Like terms are collected: acc maps each bracket value to the sum of
     the weights of the profiles that have it, and each of its `distinct`
     values is raised to the n-th power once.  That is exact, and cheap
     because the bracket is a polynomial of degree k in block sums of at
     most n, so it takes O(n^k) values over O(n^(q-1)) profiles: 1,081
-    over 116,280 at k=3 n=14.  adds and mults are the additions and
-    inner multiplications the bracket performs once per term; the two
-    multiplications of a step are not among them.
+    over 116,280 at k=3 n=14.  costs holds (adds, mults) per branch, the
+    operations `tallies.add_sum_ops` scales up to a whole sum: the full
+    bracket, the three differences, a step along class 1 and a step
+    along class 2.  The two multiplications of a weight step are not
+    among them.
     """
-    source, adds, mults = _sum_source(q, bracket)
-    return _compiled(source, "direct_sum"), adds, mults
+    source, costs = _sum_source(q, bracket)
+    return _compiled(source, "direct_sum"), costs
 
 
 def _tracked_rows(q: int) -> int:

@@ -11,9 +11,11 @@ classes of all k rows.  All arithmetic is exact integers end to end.
 
 The direct-L sum is one call of a function compiled once per k
 (`column_counts.direct_sum`): it walks the profiles of n itself, carries
-the signed multinomial along that colex walk, adds up block sums and the
-bracket per profile, and sums the weights per bracket value, so that
-each distinct bracket is raised to the n-th power once.
+the signed multinomial along that colex walk, steps the bracket by its
+differences along classes 1 and 2 and adds up block sums and the
+bracket in full only on the other profiles, and sums the weights per
+bracket value, so that each distinct bracket is raised to the n-th
+power once.
 Neither sum counts operations as it goes.  Each evaluation makes one
 `OpTally`, to which `tallies.add_sum_ops` adds the sum's op counts once,
 from its compiled kernel's cost per call, and the factorial bridge its
@@ -108,7 +110,10 @@ def _evaluate(
     q = 1 << m
     guards.check_terms(n, n, q, max_terms, what)
     # direct_sum raises ValueError for a bracket other than the two it knows
-    kernel, adds, mults = column_counts.direct_sum(q, bracket) if direct else column_counts._kernel(q)
+    if direct:
+        kernel, cost = column_counts.direct_sum(q, bracket)
+    else:
+        kernel, *cost = column_counts._kernel(q)
 
     start = time.perf_counter()
     distinct = None
@@ -120,7 +125,7 @@ def _evaluate(
         value, terms = _pooled_sum(profiles.compositions(n, m), threads)
     elapsed = time.perf_counter() - start
     tally = OpTally()
-    add_sum_ops(tally, n, q, adds, mults, distinct)
+    add_sum_ops(tally, n, q, cost, distinct)
 
     if method == "factorial-bridge":
         value *= factorial(n)
@@ -207,7 +212,8 @@ def total_count_direct(
     signed multinomial; brackets may be negative along the way, which is
     fine for exact integers.  The sum is one call of
     `column_counts.direct_sum`, compiled once per k, which carries sign
-    x multinomial along the walk and collects like terms: the weights of
+    x multinomial along the walk, steps the bracket by its differences
+    along classes 1 and 2, and collects like terms: the weights of
     the profiles that share a bracket value are summed, and each
     distinct value is raised to the n-th power once.  Its op counts are
     added once per sum.  It runs on one thread at any `threads`.

@@ -12,13 +12,18 @@ Class labels render the bits in index order, so for m = 2 the classes
 0..3 print as 00, 10, 01, 11.
 
 `compositions` iterates every profile exactly once in colexicographic
-order with an in-place increment, which is O(1) amortized per step.
+order, O(1) amortized per step.  Its walk is compiled once per m: the
+profile lives in the locals c0, c1, ..., and each step is a chain of
+tests for the lowest nonzero class, so no step copies a list or scans
+one.
 """
 
 from collections.abc import Iterator
 from functools import lru_cache
 from math import perm
 from operator import itemgetter
+
+from . import guards
 
 
 def class_weight(cls: int) -> int:
@@ -35,24 +40,63 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """Every profile of 2^m classes summing to n, colexicographic.
 
     Starts at (n, 0, ..., 0) and ends with all mass in the last class;
-    yields C(n + 2^m - 1, 2^m - 1) tuples in total.
+    yields C(n + 2^m - 1, 2^m - 1) tuples in total.  The arguments are
+    checked here, before anything is iterated, and m past
+    `guards.MAX_EXPANSION_ROWS` is refused before a walk is compiled.
     """
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
+    guards.check_expansion(m, f"a walk over profiles of 2^{m} classes")
+    return _walk(m)(n)
+
+
+@lru_cache(maxsize=None)
+def _walk(m: int):
+    """The colex walk over profiles of q = 2^m classes, compiled once.
+
+    A step finds the lowest nonzero class i: it moves one floor from
+    class 0 to class 1 when i = 0, and otherwise empties class i, puts
+    one of its floors in class i + 1 and the rest in class 0.  The walk
+    ends when i is the last class, or when every class is empty (n = 0).
+    At m = 1 its source is
+
+        def walk(n):
+            c0 = n
+            c1 = 0
+            while True:
+                yield (c0, c1)
+                if c0:
+                    c0 -= 1
+                    c1 += 1
+                else:
+                    return
+    """
+    namespace = {}
+    exec(_walk_source(m), namespace)
+    return namespace["walk"]
+
+
+def _walk_source(m: int) -> str:
     q = 1 << m
-    c = [0] * q
-    c[0] = n
-    while True:
-        yield tuple(c)
-        i = 0
-        while i < q and c[i] == 0:
-            i += 1
-        if i >= q - 1:
-            return
-        v = c[i]
-        c[i] = 0
-        c[0] = v - 1
-        c[i + 1] += 1
+    names = [f"c{i}" for i in range(q)]
+    steps = []
+    for i in range(q - 1):
+        if i == 0:
+            steps += ["        if c0:", "            c0 -= 1", "            c1 += 1"]
+        else:
+            steps += [f"        elif c{i}:", f"            c0 = c{i} - 1",
+                      f"            c{i} = 0", f"            c{i + 1} += 1"]
+    end = ["        else:", "            return"] if steps else ["        return"]
+    return "\n".join([
+        "def walk(n):",
+        "    c0 = n",
+        *(f"    {name} = 0" for name in names[1:]),
+        "    while True:",
+        # a one-class profile needs the trailing comma of a 1-tuple
+        f"        yield ({', '.join(names)}{',' if q == 1 else ''})",
+        *steps,
+        *end,
+    ])
 
 
 # 0!, 1!, ...: grown on demand; every factorial_table is a slice of it

@@ -10,6 +10,7 @@ one power g^n per distinct bracket value, not one per term; the naive
 model still charges every term n - 1.  Everything else a term needs --
 block sums, the column-choice polynomial, multinomial quotients,
 coefficient scaling -- costs a fixed number of operations once k is
+fixed, or for direct-L once k and the branch its profile takes are
 fixed; its multiplications are tallied in ``mults_inner`` and its
 additions in ``adds``.  Quotients of factorial-table entries count as
 multiplications (same cost class), and so does the factorial bridge's
@@ -45,34 +46,50 @@ class OpTally:
         return self.mults_inner + self.mults_assembly
 
 
-def add_sum_ops(
-    tally: OpTally, n: int, q: int, adds: int, mults: int, distinct: int | None
-) -> None:
+def add_sum_ops(tally: OpTally, n: int, q: int, cost, distinct: int | None) -> None:
     """Add one sum's op counts over the profiles of length q summing to n.
 
-    adds and mults are one kernel call's cost: g's (`column_counts._kernel`)
-    or the direct-L bracket's (`column_counts.direct_sum`).  distinct is
-    None for the reduced sum and, for direct-L, the number D of distinct
-    bracket values its kernel returned.  Of the T terms, a direct-L term
-    costs the bracket and an add of its weight into its bracket's
-    running sum, and each step of the walk costs two mults for the
-    weight; each distinct bracket then costs g**n, a mult by its summed
-    weight and, past the first, an add into the total.  A reduced term
+    For the reduced sum, cost is one call of g's (adds, mults)
+    (`column_counts._kernel`) and distinct is None.  A reduced term
     costs q multinomial mults and an add and a mult into the sum; each
     of its nonzero classes costs a g, a power and, past the first class,
     an assembly step.  There are Z = q C(n+q-2, q-1) nonzero entries for
-    n >= 1, C(n-c+q-2, q-2) per class equal to c, `**` spends
-    `_steps(c)` mults on g**c, and the naive model charges every term
-    n - 1.  That is O(n) integer operations per sum, and n < T whenever
-    q >= 2.
+    n >= 1, C(n-c+q-2, q-2) per class equal to c, and `**` spends
+    `_steps(c)` mults on g**c.
+
+    For direct-L, cost is `column_counts.direct_sum`'s (adds, mults) per
+    branch -- the full bracket, its differences, a step along class 1
+    and one along class 2 -- and distinct is the number D of distinct
+    bracket values its sum returned.  Of the T = C(n+q-1, q-1) profiles,
+    T1 = C(n+q-2, q-1) have c1 >= 1 and step along class 1, and
+    T2 = C(n+q-3, q-2) have c1 = 0 < c2 and step along class 2.  The
+    other T - T1 - T2 take the full bracket, and the C(n+q-4, q-3) of
+    them with c0 >= 1 take the differences too.  At q = 2 every profile
+    takes the bracket, c0, in full.  Every term also costs an add of its
+    weight into its bracket's running sum, and each of the T - 1 steps
+    of the walk two mults for the weight; each distinct bracket then
+    costs g**n, a mult by its summed weight and, past the first, an add
+    into the total.
+
+    The naive model charges every term n - 1.  That is O(n) integer
+    operations per sum, and n < T whenever q >= 2.
     """
     terms = comb(n + q - 1, q - 1)
     tally.mults_assembly_naive += max(n - 1, 0) * terms
     if distinct is not None:
-        tally.adds += (adds + 1) * terms + distinct - 1
-        tally.mults_inner += mults * terms + 2 * (terms - 1) + distinct
+        if q == 2:
+            on1 = on2 = differences = 0
+        else:
+            on1, on2 = comb(n + q - 2, q - 1), comb(n + q - 3, q - 2)
+            differences = comb(n + q - 4, q - 3)
+        for (adds, mults), count in zip(cost, (terms - on1 - on2, differences, on1, on2)):
+            tally.adds += adds * count
+            tally.mults_inner += mults * count
+        tally.adds += terms + distinct - 1
+        tally.mults_inner += 2 * (terms - 1) + distinct
         tally.mults_assembly += _steps(n) * distinct if n else 0
         return
+    adds, mults = cost
     tally.adds += terms
     tally.mults_inner += (q + 1) * terms
     if n == 0:

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from latinrect.column_counts import (
+    _difference,
     _kernel,
     _kernel_source,
     _sum_source,
@@ -152,8 +153,10 @@ def test_direct_term_is_signed_multinomial_times_powered_bracket():
     # the generated sum, which carries sign x multinomial along the walk
     # and collects like terms, against the paper's terms built from the
     # public pieces: sign x multinomial(n; c) x g(c)^n over all k rows,
-    # with the number of distinct brackets
-    for k, top in ((1, 6), (2, 8), (3, 5), (4, 3)):
+    # with the number of distinct brackets.  k = 2 to n = 30 takes long
+    # runs along classes 1 and 2, and k = 5 the differences of the
+    # largest bracket; both have steps along class 2 that leave c0 = 0
+    for k, top in ((1, 6), (2, 30), (3, 5), (4, 3), (5, 3)):
         q = 1 << k
         direct = direct_sum(q)[0]
         for n in range(top + 1):
@@ -164,7 +167,7 @@ def test_direct_term_is_signed_multinomial_times_powered_bracket():
             assert direct(n) == want, (k, n)
     literal = direct_sum(4, "literal")[0]
     negative_brackets = 0
-    for n in range(9):
+    for n in range(31):
         expected = 0
         seen = set()
         for c in compositions(n, 2):
@@ -182,6 +185,59 @@ def test_direct_sum_refuses_an_unknown_or_misplaced_bracket():
                        (16, "literal")):
         with pytest.raises(ValueError, match="bracket"):
             direct_sum(q, bracket)
+    with pytest.raises(ValueError, match="k >= 1"):
+        direct_sum(1)
+
+
+def moved(c, j):
+    """c with one floor moved from class 0 to class j."""
+    return tuple(x - (u == 0) + (u == j) for u, x in enumerate(c))
+
+
+def difference(c, s):
+    """D_s (`_difference`) evaluated at profile c."""
+    m = (len(c) - 1).bit_length()
+    total = 0
+    for coeff, block_masks in _difference(m, s):
+        term = coeff
+        for bm in block_masks:
+            term *= sum(x for u, x in enumerate(c) if not u & bm)
+        total += term
+    return total
+
+
+def test_bracket_steps_by_its_differences_along_classes_1_and_2():
+    # what `direct_sum` relies on, at every profile Q with c0 >= 1: g
+    # drops by D_1 along class 1 and by D_2 along class 2, D_1 drops by
+    # D_3 along class 2 and D_2 along class 1, and a difference does not
+    # change along a class whose row it already holds
+    checked = 0
+    for k, top in ((2, 10), (3, 6), (4, 4), (5, 3)):
+        for n in range(1, top + 1):
+            for c in compositions(n, k):
+                if not c[0]:
+                    continue
+                d1, d2, d3 = (difference(c, s) for s in (1, 2, 3))
+                assert difference(c, 0) == choice_count(c)
+                assert choice_count(c) - choice_count(moved(c, 1)) == d1, c
+                assert choice_count(c) - choice_count(moved(c, 2)) == d2, c
+                assert d1 - difference(moved(c, 2), 1) == d3, c
+                assert d2 - difference(moved(c, 1), 2) == d3, c
+                assert difference(moved(c, 1), 1) == d1, c
+                assert difference(moved(c, 2), 2) == d2, c
+                assert difference(moved(c, 1), 3) == difference(moved(c, 2), 3) == d3, c
+                checked += 1
+    assert checked == 3532
+
+    def literal(c):
+        return (c[0] + c[1]) * (c[0] + c[2]) - c[3]
+
+    for n in range(1, 12):
+        for c in compositions(n, 2):
+            if c[0]:
+                assert literal(c) - literal(moved(c, 1)) == c[0] + c[1], c
+                assert literal(c) - literal(moved(c, 2)) == c[0] + c[2], c
+                assert (c[0] + c[1]) - (moved(c, 2)[0] + moved(c, 2)[1]) == 1, c
 
 
 def test_direct_bracket_vanishes_exactly_when_hall_fails():

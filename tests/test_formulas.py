@@ -145,6 +145,13 @@ def test_four_row_count_matches_the_pinned_oracle_value_at_n_16():
     assert value % (rectangle_divisor(4, 16) // factorial(16)) == 0
 
 
+def test_four_row_direct_count_matches_the_oracle_at_n_8():
+    # R_4(8) as the row-symmetric oracle computes it (tests/test_oracle.py
+    # pins it at the same size); direct-L walks 490,314 profiles over 16
+    # classes, most of them by its differences along classes 1 and 2
+    assert total_count_direct(4, 8).value == factorial(8) * 88_390_995_840
+
+
 def test_literal_bracket_restricted_to_two_rows():
     with pytest.raises(ValueError):
         total_count_direct(3, 3, "literal")
@@ -178,19 +185,24 @@ def test_parallel_evaluation_is_deterministic():
 @pytest.mark.parametrize(
     "k, n, bracket, adds, inner, assembly, naive",
     [
-        (3, 10, "derived", 330_954, 155_921, 1_356, 175_032),
-        (2, 9, "literal", 940, 719, 244, 1_760),
+        (3, 10, "derived", 107_302, 61_255, 1_356, 175_032),
+        (2, 9, "literal", 565, 509, 244, 1_760),
         (3, 0, "derived", 17, 7, 0, 0),
         (1, 7, "derived", 15, 22, 32, 48),
     ],
 )
 def test_direct_tallies(k, n, bracket, adds, inner, assembly, naive):
-    # T terms of fixed cost (the bracket and an add into its bracket's
-    # sum), the weight's product and exact quotient on each of the T - 1
-    # steps of the walk, and per distinct bracket value g ** n, a mult by
-    # its summed weight and an add into the total: at k=3 n=10, T = 19,448
-    # and D = 339, so adds = 17 T + D - 1, inner = 6 T + 2 (T - 1) + D and
-    # assembly = s(10) D = 4 x 339
+    # each term costs its branch and an add into its bracket's sum, each
+    # of the T - 1 steps of the walk the weight's product and exact
+    # quotient, and each distinct bracket value g ** n, a mult by its
+    # summed weight and an add into the total.  At k=3 n=10, of T = 19,448
+    # profiles T1 = 11,440 step along class 1 (1 add), T2 = 5,005 along
+    # class 2 (2 adds), and 3,003 take the bracket in full (16 adds, 6
+    # mults), 2,002 of them with c0 >= 1 also its differences (9 adds,
+    # 2 mults).  With D = 339: adds = 16 x 3,003 + 9 x 2,002 + T1 + 2 T2
+    # + T + D - 1, inner = 6 x 3,003 + 2 x 2,002 + 2 (T - 1) + D and
+    # assembly = s(10) D = 4 x 339.  At k = 1 every profile takes its
+    # bracket, c0, in full.
     _, tally = formulas._evaluate("direct-L", k, n, bracket=bracket)
     assert tally == OpTally(adds, inner, assembly, naive)
 

@@ -1,10 +1,12 @@
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 from math import comb, factorial
 
 import pytest
 
 from latinrect import profiles
+from latinrect.guards import ResourceGuardError
 from latinrect.profiles import (
     class_label,
     class_weight,
@@ -91,10 +93,46 @@ def test_multinomial_rejects_negative_entries():
 
 
 def test_compositions_reject_bad_arguments():
+    # the call itself raises, before anything is iterated; past 7 rows no
+    # walk is compiled
     with pytest.raises(ValueError):
-        list(compositions(-1, 2))
+        compositions(-1, 2)
     with pytest.raises(ValueError):
-        list(compositions(3, -1))
+        compositions(3, -1)
+    for m in (8, 30, 10**6):
+        with pytest.raises(ResourceGuardError, match="at most 7 rows"):
+            compositions(0, m)
+
+
+def reference_walk(n, m):
+    """The colex walk over a list: copy it out, find the lowest nonzero class, step."""
+    q = 1 << m
+    c = [0] * q
+    c[0] = n
+    out = []
+    while True:
+        out.append(tuple(c))
+        i = 0
+        while i < q and c[i] == 0:
+            i += 1
+        if i >= q - 1:
+            return out
+        v = c[i]
+        c[i] = 0
+        c[0] = v - 1
+        c[i + 1] += 1
+
+
+def test_compiled_walk_equals_the_list_walk():
+    for m, top in ((0, 6), (1, 6), (2, 6), (3, 6), (4, 4), (5, 3)):
+        for n in range(top + 1):
+            assert list(compositions(n, m)) == reference_walk(n, m), (m, n)
+
+
+def test_walk_docstring_shows_the_generated_source():
+    doc = profiles._walk.__doc__
+    code = textwrap.dedent("\n".join(line for line in doc.splitlines() if line.startswith(" " * 8)))
+    assert code == profiles._walk_source(1)
 
 
 @pytest.fixture

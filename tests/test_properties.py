@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinrect.column_counts import _kernel, choice_count, config_count
+from latinrect.column_counts import _kernel, choice_count, config_count, direct_sum
 from latinrect.oracle import injective_tuple_count, is_latin, reduce_rectangle
 from latinrect.partitions import mobius_coefficient, partitions_of
 from latinrect.profiles import class_weight, compositions, multinomial, sign
@@ -212,9 +212,9 @@ def reference_power(base, exp):
     return acc, steps
 
 
-def sum_ops(n, q, adds, mults, distinct=None):
+def sum_ops(n, q, cost, distinct=None):
     tally = OpTally()
-    add_sum_ops(tally, n, q, adds, mults, distinct)
+    add_sum_ops(tally, n, q, cost, distinct)
     return tally
 
 
@@ -225,14 +225,14 @@ def test_powered_tallies_binary_powering_steps():
         base = (-3, -2, -1, 0, 1, 5)[exp % 6]
         value, steps = reference_power(base, exp)
         assert powered(base, exp) == value, (base, exp)
-        assert sum_ops(exp, 1, 0, 0) == OpTally(1, 2, steps, max(exp - 1, 0)), exp
+        assert sum_ops(exp, 1, (0, 0)) == OpTally(1, 2, steps, max(exp - 1, 0)), exp
 
 
 @given(st.integers(min_value=-(10**40), max_value=10**40), st.integers(0, 300))
 def test_powered_matches_reference_powering(base, exp):
     value, steps = reference_power(base, exp)
     assert powered(base, exp) == value
-    assert sum_ops(exp, 1, 0, 0).mults_assembly == steps
+    assert sum_ops(exp, 1, (0, 0)).mults_assembly == steps
 
 
 @given(st.lists(st.integers(-(10**30), 10**30), max_size=9))
@@ -243,18 +243,64 @@ def test_assembly_product_is_the_product_of_its_factors(values):
     assert assembly_product(values) == expected
 
 
-def reference_sum_ops(n, m, adds, mults, bracket=None):
+def reference_differences(k):
+    """The adds and mults of D_1, D_2 and D_3 over k rows, from g's definition.
+
+    D_s sums, over the partitions whose blocks each hold at most one bit
+    of s, the coefficient times the sums of the blocks that hold none,
+    with like products collected.
+    """
+    terms, _, _, _ = reference_expansion(k)
+    adds = mults = 0
+    for s in (1, 2, 3):
+        collected = {}
+        for coeff, masks in terms:
+            if all(bin(bm & s).count("1") <= 1 for bm in masks):
+                key = tuple(sorted(bm for bm in masks if not bm & s))
+                collected[key] = collected.get(key, 0) + coeff
+        live = {key: coeff for key, coeff in collected.items() if coeff}
+        adds += max(len(live) - 1, 0)
+        # a coefficient other than ±1 is one more factor, and a constant none
+        mults += sum(max(len(key) + (abs(coeff) != 1) - 1, 0) for key, coeff in live.items())
+    return adds, mults
+
+
+def reference_direct_costs(k):
+    """(adds, mults) per branch of the direct-L sum over k rows, from the definitions.
+
+    The full bracket, its differences, a step along class 1 (g -= s1)
+    and one along class 2 (two subtractions); at k = 1 the bracket is
+    c0, and no profile steps.
+    """
+    full = reference_expansion(k)[2:]
+    if k == 1:
+        return full, (0, 0), (0, 0), (0, 0)
+    return full, reference_differences(k), (1, 0), (2, 0)
+
+
+def test_direct_sum_costs_match_the_definitions():
+    for k in range(1, 6):
+        assert direct_sum(1 << k)[1] == reference_direct_costs(k), k
+    assert direct_sum(4, "literal")[1] == ((3, 1), (0, 0), (1, 0), (2, 0))
+
+
+def reference_sum_ops(n, m, cost, bracket=None):
     """One sum's op counts, summed term by term over `compositions(n, m)`.
 
     A reduced term (bracket None) costs q multinomial mults, one mult
-    and one add into the sum, and per nonzero class one g, its power
-    and, past the first class, one assembly step.  A direct-L term costs
-    the bracket and one add into its bracket's sum; each step of the walk
-    after the first profile costs two mults for the weight; each distinct
-    value of `bracket` over the profiles costs the power g ** n, one mult
-    by its summed weight and, past the first, one add into the total.
-    Returns the tally and the number D of distinct brackets (None for
-    the reduced sum).
+    and one add into the sum, and per nonzero class one g (cost is its
+    (adds, mults)), its power and, past the first class, one assembly
+    step.  A direct-L term costs the branch it takes (cost is the
+    (adds, mults) of the full bracket, the differences, a class-1 step
+    and a class-2 step): past k = 1, a profile with c1 >= 1 steps along
+    class 1, else one with c2 >= 1 along class 2, else it takes the full
+    bracket, and the differences too if c0 >= 1.  It also costs one add
+    into its bracket's sum; each step of the walk after the first
+    profile costs two mults for the weight; each distinct value of
+    `bracket` over the profiles costs the power g ** n, one mult by its
+    summed weight and, past the first, one add into the total.  Returns
+    the tally and the number D of distinct brackets (None for the
+    reduced sum).
     """
     q = 1 << m
     steps = [reference_power(1, exp)[1] for exp in range(n + 1)]
@@ -262,11 +308,21 @@ def reference_sum_ops(n, m, adds, mults, bracket=None):
     values = set()
     for i, profile in enumerate(compositions(n, m)):
         if bracket:
+            full, differences, class1, class2 = cost
+            if q > 2 and profile[1]:
+                branches = [class1]
+            elif q > 2 and profile[2]:
+                branches = [class2]
+            elif q > 2 and profile[0]:
+                branches = [full, differences]
+            else:
+                branches = [full]
             values.add(bracket(profile))
-            tally.adds += adds + 1
-            tally.mults_inner += mults + (2 if i else 0)
+            tally.adds += sum(adds for adds, _ in branches) + 1
+            tally.mults_inner += sum(mults for _, mults in branches) + (2 if i else 0)
             tally.mults_assembly_naive += max(n - 1, 0)
         else:
+            adds, mults = cost
             used = [c for c in profile if c]
             extra = max(len(used) - 1, 0)
             tally.adds += 1 + adds * len(used)
@@ -286,19 +342,19 @@ def test_sum_ops_equals_the_per_term_reference():
     # k = 1..5 at n <= 8 and k = 2 at n <= 60, except where the walks
     # pass about 10^5 profiles: reduced k = 5 stops at n = 7, and
     # direct-L k = 2 at n = 30, k = 4 at n = 6 and k = 5 at n = 3
-    literal = (lambda c: (c[0] + c[1]) * (c[0] + c[2]) - c[3], 3, 1)
+    literal = (lambda c: (c[0] + c[1]) * (c[0] + c[2]) - c[3], ((3, 1), (0, 0), (1, 0), (2, 0)))
     last_n = {1: 8, 2: 60, 3: 8, 4: 8, 5: 7}
     last_direct_n = {1: 8, 2: 30, 3: 8, 4: 6, 5: 3}
     for k in range(1, 6):
         m = k - 1
-        _, adds, mults = reference_choice_count((0,) * (1 << m))
+        cost = reference_choice_count((0,) * (1 << m))[1:]
         for n in range(last_n[k] + 1):
-            want, _ = reference_sum_ops(n, m, adds, mults)
-            assert sum_ops(n, 1 << m, adds, mults) == want, (k, n)
-        derived = (lambda c: reference_choice_count(c)[0], *reference_expansion(k)[2:])
+            want, _ = reference_sum_ops(n, m, cost)
+            assert sum_ops(n, 1 << m, cost) == want, (k, n)
+        derived = (lambda c: reference_choice_count(c)[0], reference_direct_costs(k))
         brackets = [derived, literal] if k == 2 else [derived]
-        for bracket, adds, mults in brackets:
+        for bracket, cost in brackets:
             for n in range(last_direct_n[k] + 1):
-                want, distinct = reference_sum_ops(n, k, adds, mults, bracket)
-                got = sum_ops(n, 1 << k, adds, mults, distinct)
-                assert got == want, (k, n, adds, mults)
+                want, distinct = reference_sum_ops(n, k, cost, bracket)
+                got = sum_ops(n, 1 << k, cost, distinct)
+                assert got == want, (k, n, cost)
