@@ -13,6 +13,7 @@ from .formulas import (
     derangements_classical,
     derangements_ryser,
     reduced_count,
+    reduced_counts,
     total_count,
     total_count_direct,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "profile_of",
     "reduce_rectangle",
     "reduced_count",
+    "reduced_counts",
     "render",
     "run_selftest",
     "shift_profile",

@@ -180,18 +180,15 @@ def _cmd_expr(args):
 
 
 def _cmd_table(args):
-    if args.method == "formula":
-        _check_range(args)
     lo, hi = args.n
-    rows = []
-    for n in range(lo, hi + 1):
-        if args.method == "oracle":
-            reduced = oracle.brute_force_count(args.k, n)
-        else:
-            reduced = formulas.reduced_count(
-                args.k, n, threads=args.threads, max_terms=args.max_terms
-            ).value
-        rows.append((n, reduced, factorial(n) * reduced))
+    if args.method == "oracle":
+        column = [oracle.brute_force_count(args.k, n) for n in range(lo, hi + 1)]
+    else:
+        # one walk serves every row, on one thread whatever --threads is
+        _check_range(args)
+        column = [value for value, _ in formulas.reduced_counts(
+            args.k, hi, n_min=lo, max_terms=args.max_terms)]
+    rows = [(n, reduced, factorial(n) * reduced) for n, reduced in enumerate(column, lo)]
     if args.format == "json":
         payload = {
             "k": args.k,

@@ -14,9 +14,13 @@ profile to the next instead of recomputing them, steps the bracket by
 its differences (`_difference`) along classes 1 and 2 instead of
 evaluating it there, and collects like terms: it sums the weights of
 the profiles that share a bracket value and raises each distinct value
-to the n-th power once.  Nothing here counts operations:
-`tallies.add_sum_ops` scales each compiled function's cost per call, or
-per branch, up to a whole sum.
+to the n-th power once.  `range_sum` compiles the reduced sum for
+every n up to N into one walk over the profiles of N: the all-ones
+class is in no block sum, so it holds the floors a smaller n leaves
+out, and the walk collects like terms by (floors outside it, g).
+Nothing here counts operations: `tallies.add_sum_ops` scales each
+compiled function's cost per call, or per branch, up to a whole sum,
+and `range_sum`'s callers print no op counts.
 `guards.check_expansion` refuses the expansion past 7 rows: CPython
 fails to compile the 4,140 terms of 8 rows.
 `config_count` multiplies per-column counts over a whole profile; the
@@ -29,6 +33,9 @@ ground elements 1..m of the partitions.
 """
 
 from functools import lru_cache
+from itertools import accumulate, repeat
+from math import comb
+from operator import add, mul
 
 from . import guards, partitions, profiles
 from .tallies import assembly_product, powered
@@ -59,21 +66,27 @@ def _names(q: int) -> str:
     return ", ".join(f"c{cls}" for cls in range(q))
 
 
-def _polynomial(terms) -> tuple[str, int, int]:
+def _polynomial(terms, lowered=()) -> tuple[str, int, int]:
     """Σ coeff Π b<mask> over (coefficient, block masks) terms, as code: (expression, adds, mults).
 
     A coefficient of -1 is a subtraction, not a multiplication, and an
-    empty product is 1.
+    empty product is 1.  The block sums whose masks are in `lowered`
+    are read lowered by one, as d<mask>.
     """
     out = []
     mults = 0
     for coeff, block_masks in terms:
-        factors = [f"b{bm}" for bm in block_masks]
+        factors = [f"{'d' if bm in lowered else 'b'}{bm}" for bm in block_masks]
         if abs(coeff) != 1:
             factors.insert(0, str(abs(coeff)))
         mults += max(len(factors) - 1, 0)
         out.append(("- " if coeff < 0 else "+ ") + (" * ".join(factors) or "1"))
     return " ".join(out).removeprefix("+ ") or "0", max(len(out) - 1, 0), mults
+
+
+def _block_masks(m: int) -> tuple[int, ...]:
+    """The distinct block masks of `_expansion(m)`, in order of first use."""
+    return tuple(dict.fromkeys(bm for _, block_masks in _expansion(m) for bm in block_masks))
 
 
 def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
@@ -87,7 +100,7 @@ def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
     guards.check_expansion(m, f"a column count over {1 << m} classes")
     lines = []
     adds = 0
-    for bm in dict.fromkeys(bm for _, block_masks in _expansion(m) for bm in block_masks):
+    for bm in _block_masks(m):
         zero = _zero_classes(m, bm)
         lines.append(f"    b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
         adds += len(zero) - 1
@@ -193,10 +206,74 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
     return source, ((adds, mults), differences_cost, *step_costs)
 
 
-def _compiled(source: str, name: str):
+def _range_source(q: int) -> str:
+    m = _tracked_rows(q)
+    top = q - 1  # the all-ones class v*: in no block sum, so it is the walk's slack
+    lines, poly, _, _ = _g_source(m)
+    masks = _block_masks(m)
+    body = [f"s = n_max - c{top}", "seen[s] += 1", *(line.removeprefix("    ") for line in lines)]
+    body += [f"d{bm} = b{bm} - 1" for bm in masks]
+    body.append("y = 1")
+    for cls in range(top):
+        # G_cls: g after one floor of class cls moves to v*, which lowers
+        # by one the block sums that hold class cls
+        lowered, _, _ = _polynomial(_expansion(m), {bm for bm in masks if not cls & bm})
+        body += [f"if c{cls}:", f"    x = {lowered}", "    if not x:", "        continue",
+                 f"    y *= x ** c{cls}"]
+    # the multinomial s! / Π c_cls!, once no factor is 0; it is 1 when
+    # class 0 is the only one (s = c0), which then needs no table
+    table = []
+    if top > 1:
+        table = ["    fact = profiles.factorial_table(n_max)"]
+        body.append(f"y = y * fact[s] // ({' * '.join(f'fact[c{cls}]' for cls in range(top))})")
+    odd = [f"c{cls}" for cls in range(top) if profiles.class_weight(cls) & 1]
+    if odd:
+        body += [f"if ({' + '.join(odd)}) & 1:", "    y = -y"]
+    body += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
+    return "\n".join([
+        "def range_sum(n_max, n_min):",
+        *table,
+        "    acc = {}",
+        "    get = acc.get",
+        "    seen = [0] * (n_max + 1)",
+        f"    for ({_names(q)}{',' if q == 1 else ''}) in profiles.compositions(n_max, {m}):",
+        *_indent(_indent(body)),
+        f"    return finish(acc, seen, {m}, n_min)",
+    ])
+
+
+def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
+    """The rows (R_k(n), terms) for n = n_min..N from one walk over the profiles of N.
+
+    acc maps (s, gamma) to W_s(gamma), and seen[s] counts the profiles
+    the walk visited with |c'| = s.  Row n is
+    Σ_s C(n, s) Σ_gamma W_s(gamma) ((-1)^m gamma)^(n - s): its class v*
+    holds the other n - s floors, each with m omitted halls and the
+    factor gamma.  Its terms are the visited profiles with s <= n.
+    """
+    n_max = len(seen) - 1
+    # powers[s][i] = Σ_gamma W_s(gamma) ((-1)^m gamma)^x for the i-th exponent
+    # x a row n_min..N needs, from max(n_min - s, 0) on; each power is the
+    # one before times (-1)^m gamma
+    powers = [[0] * (n_max - max(s, n_min) + 1) for s in range(n_max + 1)]
+    for (s, gamma), w in acc.items():
+        base = -gamma if m & 1 else gamma
+        row = powers[s]
+        first = w * base ** max(n_min - s, 0)
+        row[:] = map(add, row, accumulate(repeat(base, len(row) - 1), mul, initial=first))
+    rows = []
+    terms = sum(seen[:n_min])
+    for n in range(n_min, n_max + 1):
+        terms += seen[n]
+        value = sum(comb(n, s) * powers[s][n - max(s, n_min)] for s in range(n + 1))
+        rows.append((value, terms))
+    return rows
+
+
+def _compiled(source: str, name: str, **names):
     # generated code looks `profiles.compositions` up at each call, so a
     # rebinding of that name reaches the compiled walk too
-    namespace = {"profiles": profiles}
+    namespace = {"profiles": profiles, **names}
     exec(source, namespace)
     return namespace[name]
 
@@ -308,6 +385,85 @@ def direct_sum(q: int, bracket: str = "derived"):
     """
     source, costs = _sum_source(q, bracket)
     return _compiled(source, "direct_sum"), costs
+
+
+@lru_cache(maxsize=None)
+def range_sum(q: int):
+    """R_k(n) for every n <= N from one walk over profiles of length q = 2^(k-1), compiled once.
+
+    `range_sum(N, n_min)` returns [(R_k(n), terms) for n = n_min..N].
+    The all-ones class v* = q - 1, every tracked row's hall omitted, is
+    in no block sum.  For a profile c of n, write c' for c with v*
+    emptied and s = |c'|.  Then g(c) and each shifted count G_v(c)
+    depend on c' alone: g(c) = g(c') = gamma, and G_v, for v != v*, is
+    g with the block sums that hold class v lowered by one, which is
+    `config_count`'s shift of a floor of v into v*.  Only the sign, the
+    multinomial and v*'s factor gamma^(n - s) depend on n, and
+    splitting them off gives
+
+        R_k(n) = sum over s <= n of C(n, s) (-1)^(m(n-s)) sum_gamma W_s(gamma) gamma^(n-s),
+
+    where W_s(gamma) sums Y(c') = sign(c') s!/prod c'_u! prod G_v(c')^(c'_v),
+    over the nonempty classes v != v*, for the c' with |c'| = s and
+    g(c') = gamma.  The profiles of N are exactly the c' with s <= N,
+    with v* holding the slack N - s, so one walk fills every W_s.
+
+    Per profile the walk takes each block sum once, then G_v for each
+    nonempty class v != v* in turn, and skips the profile at the first
+    G_v = 0, where Y is 0.  Otherwise it folds the powers, the
+    multinomial from the factorial table and the sign into Y and adds Y
+    into acc[(s, gamma)].  seen[s] counts every profile visited,
+    skipped ones too, so row n's terms, the profiles with s <= n, are
+    counted and not computed; they equal C(n + q - 1, q - 1), what
+    `reduced_count` reports.  `_finish` then makes each row from acc:
+    one power per key and row, each the one before times gamma, and one
+    binomial per s and row.  Rows below n_min are not made, so a table
+    that starts at a large n pays for the walk and its own rows only:
+    on 2 vCPUs (Python 3.11.7) every row to n = 2000 at k = 2 took
+    about 100 s, and the last row alone 0.4 s.
+    With class 0 the only class besides v* (k = 2) the multinomial is
+    1 and no table is built.  At m = 2 the source is
+
+        def range_sum(n_max, n_min):
+            fact = profiles.factorial_table(n_max)
+            acc = {}
+            get = acc.get
+            seen = [0] * (n_max + 1)
+            for (c0, c1, c2, c3) in profiles.compositions(n_max, 2):
+                s = n_max - c3
+                seen[s] += 1
+                b1 = c0 + c2
+                b2 = c0 + c1
+                b3 = c0
+                d1 = b1 - 1
+                d2 = b2 - 1
+                d3 = b3 - 1
+                y = 1
+                if c0:
+                    x = d1 * d2 - d3
+                    if not x:
+                        continue
+                    y *= x ** c0
+                if c1:
+                    x = b1 * d2 - b3
+                    if not x:
+                        continue
+                    y *= x ** c1
+                if c2:
+                    x = d1 * b2 - b3
+                    if not x:
+                        continue
+                    y *= x ** c2
+                y = y * fact[s] // (fact[c0] * fact[c1] * fact[c2])
+                if (c1 + c2) & 1:
+                    y = -y
+                key = s, b1 * b2 - b3
+                acc[key] = get(key, 0) + y
+            return finish(acc, seen, 2, n_min)
+
+    Nothing here counts operations: `table` and selftest print none.
+    """
+    return _compiled(_range_source(q), "range_sum", finish=_finish)
 
 
 def _tracked_rows(q: int) -> int:

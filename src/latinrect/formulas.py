@@ -16,6 +16,15 @@ differences along classes 1 and 2 and adds up block sums and the
 bracket in full only on the other profiles, and sums the weights per
 bracket value, so that each distinct bracket is raised to the n-th
 power once.
+
+`reduced_counts` gives R_k(n) for a whole range of n from one walk over
+the profiles of its largest n (`column_counts.range_sum`), since the
+all-ones class, in no block sum, can hold the floors a smaller n leaves
+out.  `table` and selftest's range suites use it; `count`, `bench` and
+`reduced_count` stay one sum per n, and only they report op counts.
+Every entry point takes its k and n through `operator.index`, so a
+float is a TypeError at the call.
+
 Neither sum counts operations as it goes.  Each evaluation makes one
 `OpTally`, to which `tallies.add_sum_ops` adds the sum's op counts once,
 from its compiled kernel's cost per call, and the factorial bridge its
@@ -33,6 +42,7 @@ import time
 from collections import deque, namedtuple
 from itertools import islice
 from math import factorial
+from operator import index
 
 from . import column_counts, guards, profiles
 from .tallies import OpTally, add_sum_ops, powered  # noqa: F401  perfbench traces formulas.powered
@@ -92,6 +102,7 @@ def _evaluate(
     Returns the result and the evaluation's own tally, whose counts are
     the result's `stats.adds` and `stats.mults`.
     """
+    k, n = index(k), index(n)
     if k < 1:
         raise ValueError("need k >= 1")
     if n < 0:
@@ -160,6 +171,38 @@ def reduced_count(
     Take T = rows 2..k: S_T = s_{1..1} >= 0 >= n - (k - 1) when n < k.
     """
     return _evaluate("formula", k, n, threads=threads, max_terms=max_terms)[0]
+
+
+def reduced_counts(
+    k: int,
+    n_max: int,
+    *,
+    n_min: int = 0,
+    max_terms: int | None = None,
+) -> list[tuple[int, int]]:
+    """(R_k(n), terms) for every n in n_min..n_max, from one walk over the profiles of n_max.
+
+    The values are `reduced_count`'s, and each row's terms is the
+    number of profiles of n, C(n + 2^(k-1) - 1, 2^(k-1) - 1), as
+    `reduced_count` reports it: the walk counts the profiles it visits
+    whose classes other than v* hold at most n floors.  Its class v*,
+    every tracked row's hall omitted, is in no block sum, so it takes
+    the n_max - s floors a smaller n leaves out, and one walk serves
+    every row (see `column_counts.range_sum`).  The guard bounds the
+    walk, the profiles of n_max.  No op counts are kept.
+    """
+    k, n_max, n_min = index(k), index(n_max), index(n_min)
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
+    m = k - 1
+    what = f"reduced counts for k={k}, n={n_min}..{n_max}"
+    # the guards come first, so a refused run builds no 2^m and compiles no walk
+    guards.check_expansion(m, what)
+    q = 1 << m
+    guards.check_terms(n_max, n_max, q, max_terms, what)
+    return column_counts.range_sum(q)(n_max, n_min)
 
 
 def total_count(

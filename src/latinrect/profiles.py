@@ -21,7 +21,7 @@ one.
 from collections.abc import Iterator
 from functools import lru_cache
 from math import perm
-from operator import itemgetter
+from operator import index, itemgetter
 
 from . import guards
 
@@ -41,9 +41,11 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
 
     Starts at (n, 0, ..., 0) and ends with all mass in the last class;
     yields C(n + 2^m - 1, 2^m - 1) tuples in total.  The arguments are
-    checked here, before anything is iterated, and m past
+    checked here, before anything is iterated: both must be integers
+    (`operator.index`), so a float n raises TypeError, and m past
     `guards.MAX_EXPANSION_ROWS` is refused before a walk is compiled.
     """
+    n, m = index(n), index(m)
     if n < 0 or m < 0:
         raise ValueError("need n >= 0 and m >= 0")
     guards.check_expansion(m, f"a walk over profiles of 2^{m} classes")

@@ -508,6 +508,20 @@ def test_direct_l_sums_on_one_thread_at_any_threads(capsys, monkeypatch):
     assert payloads[0]["value"] == "15321600"
 
 
+def test_formula_table_sums_on_one_thread_at_any_threads(capsys, monkeypatch):
+    # one walk serves every row of a formula table, so --threads starts no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a formula table started a thread pool")
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+    outputs = [run(capsys, ["table", "--k", "4", "--n", "3..8", "--threads", threads])
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert code == 0 and err == ""
+    assert out.splitlines()[4].split()[:2] == ["6", "393120"]
+
+
 # argument text that is mostly malformed: junk, ranges, signs, huge or
 # negative integers; any that parses is still kept cheap by the caller
 _ARG_TEXT = st.one_of(

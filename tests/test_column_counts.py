@@ -8,11 +8,13 @@ from latinrect.column_counts import (
     _difference,
     _kernel,
     _kernel_source,
+    _range_source,
     _sum_source,
     block_sum,
     choice_count,
     config_count,
     direct_sum,
+    range_sum,
     shift_profile,
 )
 from latinrect.guards import ResourceGuardError
@@ -274,3 +276,8 @@ def test_kernel_docstring_shows_the_generated_source():
         _kernel_source(4)[0],
         _sum_source(4, "derived")[0],
     ]
+
+
+def test_range_sum_docstring_shows_the_generated_source():
+    # the first block is the sum the walk evaluates, the last its code
+    assert docstring_code(range_sum.__doc__)[-1] == _range_source(4)

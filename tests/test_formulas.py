@@ -4,11 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import latinrect.column_counts as column_counts
 import latinrect.formulas as formulas
+import latinrect.profiles as profiles
 from latinrect.formulas import (
     derangements_classical,
     derangements_ryser,
     reduced_count,
+    reduced_counts,
     total_count,
     total_count_direct,
 )
@@ -298,6 +301,65 @@ def test_argument_validation():
         derangements_ryser(-1)
     with pytest.raises(ValueError):
         reduced_count(2, 3, max_terms=0)
+
+
+def test_arguments_must_be_integers(monkeypatch):
+    # a float n once walked forever (compositions) or failed deep inside
+    # the sum (reduced_count); now each raises at the call
+    with pytest.raises(TypeError):
+        profiles.compositions(2.5, 1)
+    with pytest.raises(TypeError):
+        profiles.compositions(3, 1.0)
+
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(profiles, "compositions", no_walk)
+    for call in (lambda: reduced_count(3, 2.5), lambda: reduced_count(3.0, 2),
+                 lambda: total_count_direct(2, 2.5), lambda: reduced_counts(3, 2.5),
+                 lambda: reduced_counts(3, 4, n_min=1.5)):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("k, n_max", [(1, 5), (2, 30), (3, 12), (4, 8), (5, 5),
+                                      (1, 0), (3, 0), (5, 0)])
+def test_one_walk_gives_every_row_of_the_per_n_sums(k, n_max):
+    want = [(r.value, r.stats.terms) for r in (reduced_count(k, n) for n in range(n_max + 1))]
+    assert reduced_counts(k, n_max) == want
+    # a later first row finishes only the rows asked for, from the same walk
+    for n_min in {0, n_max // 2, n_max}:
+        assert reduced_counts(k, n_max, n_min=n_min) == want[n_min:], n_min
+
+
+def test_one_walk_refuses_before_it_compiles(monkeypatch):
+    def no_compile(q):
+        raise AssertionError("a walk was compiled")
+
+    monkeypatch.setattr(column_counts, "range_sum", no_compile)
+    with pytest.raises(ResourceGuardError, match=str(comb(37, 7))):
+        reduced_counts(4, 30, max_terms=1000)
+    with pytest.raises(ResourceGuardError, match="over 8 rows"):
+        reduced_counts(9, 1)
+    for k, n_max, n_min in ((0, 3, 0), (2, -1, 0), (2, 3, -1), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            reduced_counts(k, n_max, n_min=n_min)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 40), (3, 16), (4, 10), (5, 6)])
+def test_one_walk_rows_have_the_rectangle_divisor(k, n_max):
+    rows = reduced_counts(k, n_max)
+    for n in range(k, n_max + 1):
+        value = rows[n][0]
+        assert value > 0 and value % (factorial(n - 1) // factorial(n - k)) == 0, n
+
+
+def test_one_walk_matches_the_pinned_oracle_value_at_n_18():
+    # R_4(18) as the brute-force oracle computed it in 27.1 s; one walk
+    # over the 480,700 profiles of 18 gives it with every smaller row
+    rows = reduced_counts(4, 18)
+    assert rows[18] == (510616928146758630267870258448543665082859520, 480700)
+    assert rows[16][0] == 17237448791456599571078045378751528960
 
 
 def derangements_by_recurrence(n):
