@@ -137,9 +137,7 @@ def _check_range(args) -> None:
     # one n, a bad k or n and a huge k are refused as the first row would be
     k, (lo, hi) = args.k, args.n
     if k >= 1 and 0 <= lo < hi:
-        guards.check_expansion(k - 1, f"reduced count for k={k}, n={lo}")
-        what = f"reduced count for k={k}, n={lo}..{hi}"
-        guards.check_terms(lo, hi, 1 << (k - 1), args.max_terms, what)
+        guards.check_sum(k - 1, lo, hi, args.max_terms, f"reduced count for k={k}, n={lo}..{hi}")
 
 
 def _cmd_count(args):

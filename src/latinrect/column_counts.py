@@ -14,10 +14,13 @@ profile to the next instead of recomputing them, steps the bracket by
 its differences (`_difference`) along classes 1 and 2 instead of
 evaluating it there, and collects like terms: it sums the weights of
 the profiles that share a bracket value and raises each distinct value
-to the n-th power once.  `range_sum` compiles the reduced sum for
-every n up to N into one walk over the profiles of N: the all-ones
-class is in no block sum, so it holds the floors a smaller n leaves
-out, and the walk collects like terms by (floors outside it, g).
+to the n-th power once.  `range_sum` compiles one walk over the
+profiles of N that serves the reduced sum for every n up to N: the
+all-ones class is in no block sum, so it holds the floors a smaller n
+leaves out, and the walk collects like terms by (floors outside it,
+g).  `_finish` makes the rows from what the walk collected.  Each
+generator emits bare lines that the function around them indents, and
+`profiles._compiled` compiles every one of them.
 Nothing here counts operations: `tallies.add_sum_ops` scales each
 compiled function's cost per call, or per branch, up to a whole sum,
 and `range_sum`'s callers print no op counts.
@@ -34,7 +37,6 @@ ground elements 1..m of the partitions.
 
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb
 from operator import add, mul
 
 from . import guards, partitions, profiles
@@ -59,11 +61,6 @@ def _expansion(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
             masks.append(bm)
         out.append((partitions.mobius_coefficient(p), tuple(masks)))
     return tuple(out)
-
-
-def _names(q: int) -> str:
-    """The local names c0, c1, ... that generated code binds to a profile's q entries."""
-    return ", ".join(f"c{cls}" for cls in range(q))
 
 
 def _polynomial(terms, lowered=()) -> tuple[str, int, int]:
@@ -93,16 +90,17 @@ def _g_source(m: int) -> tuple[tuple[str, ...], str, int, int]:
     """g over `_expansion(m)` as straight-line code: (lines, polynomial, adds, mults).
 
     The code reads class cls of the profile as the local name c<cls>
-    (see `_names`).  The lines bind each distinct block sum once, as
-    b<mask>; the polynomial combines them over the partitions.  adds and
-    mults are the additions and inner multiplications the code performs.
+    (see `profiles._names`).  The lines, unindented, bind each distinct
+    block sum once, as b<mask>; the polynomial combines them over the
+    partitions.  adds and mults are the additions and inner
+    multiplications the code performs.
     """
     guards.check_expansion(m, f"a column count over {1 << m} classes")
     lines = []
     adds = 0
     for bm in _block_masks(m):
         zero = _zero_classes(m, bm)
-        lines.append(f"    b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
+        lines.append(f"b{bm} = " + " + ".join(f"c{cls}" for cls in zero))
         adds += len(zero) - 1
     poly, poly_adds, mults = _polynomial(_expansion(m))
     return tuple(lines), poly, adds + poly_adds, mults
@@ -138,8 +136,8 @@ def _difference(m: int, s: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 def _kernel_source(q: int) -> tuple[str, int, int]:
     lines, poly, adds, mults = _g_source(_tracked_rows(q))
     # m = 0 has no block sums: g is 1 and reads nothing
-    unpack = [f"    {_names(q)} = c"] if lines else []
-    return "\n".join(["def g(c):", *unpack, *lines, f"    return {poly}"]), adds, mults
+    unpack = [f"{profiles._names(q)} = c"] if lines else []
+    return "\n".join(["def g(c):", *_indent([*unpack, *lines, f"return {poly}"])]), adds, mults
 
 
 def _indent(lines) -> list[str]:
@@ -156,7 +154,7 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
         # the bracket as printed, with the fully-omitted class subtracted
         # instead of the fully-open one; its differences along classes 1
         # and 2 are its two factors, and along both the constant 1
-        lines, poly, adds, mults = ("    b2 = c0 + c1", "    b1 = c0 + c2"), "b2 * b1 - c3", 3, 1
+        lines, poly, adds, mults = ("b2 = c0 + c1", "b1 = c0 + c2"), "b2 * b1 - c3", 3, 1
         differences = [("b2", 0, 0), ("b1", 0, 0), ("1", 0, 0)]
     elif bracket == "derived":
         lines, poly, adds, mults = _g_source(m)
@@ -173,7 +171,7 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
             return ["v = c0 + 1", f"w = ({signed}) * v // c{j}"]
         return [f"w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}"]
 
-    bracket_lines = [*(line.removeprefix("    ") for line in lines), f"g = {poly}"]
+    bracket_lines = [*lines, f"g = {poly}"]
     if q == 2:
         # k = 1: g is c0 itself, which no difference makes cheaper
         body = ["if c1:", *_indent(step(1)), *bracket_lines]
@@ -197,7 +195,7 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
         "    get = acc.get",
         "    terms = 0",
         "    w = 1",
-        f"    for terms, ({_names(q)}) in enumerate(profiles.compositions(n, {m}), 1):",
+        f"    for terms, ({profiles._names(q)}) in enumerate(profiles.compositions(n, {m}), 1):",
         *_indent(_indent(body)),
         "        acc[g] = get(g, 0) + w",
         "    return sum(w * g ** n for g, w in acc.items()), terms, len(acc)",
@@ -211,7 +209,7 @@ def _range_source(q: int) -> str:
     top = q - 1  # the all-ones class v*: in no block sum, so it is the walk's slack
     lines, poly, _, _ = _g_source(m)
     masks = _block_masks(m)
-    body = [f"s = n_max - c{top}", "seen[s] += 1", *(line.removeprefix("    ") for line in lines)]
+    body = [f"s = n_max - c{top}", "seen[s] += 1", *lines]
     body += [f"d{bm} = b{bm} - 1" for bm in masks]
     body.append("y = 1")
     for cls in range(top):
@@ -231,14 +229,14 @@ def _range_source(q: int) -> str:
         body += [f"if ({' + '.join(odd)}) & 1:", "    y = -y"]
     body += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
     return "\n".join([
-        "def range_sum(n_max, n_min):",
+        "def range_sum(n_max):",
         *table,
         "    acc = {}",
         "    get = acc.get",
         "    seen = [0] * (n_max + 1)",
-        f"    for ({_names(q)}{',' if q == 1 else ''}) in profiles.compositions(n_max, {m}):",
+        f"    for ({profiles._names(q)}) in profiles.compositions(n_max, {m}):",
         *_indent(_indent(body)),
-        f"    return finish(acc, seen, {m}, n_min)",
+        "    return acc, seen",
     ])
 
 
@@ -263,19 +261,16 @@ def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
         row[:] = map(add, row, accumulate(repeat(base, len(row) - 1), mul, initial=first))
     rows = []
     terms = sum(seen[:n_min])
+    # C(n, s) for s = 0..n, most of the work at k = 2, where each s has one
+    # key: row n_min by C(n, s + 1) = C(n, s) (n - s) / (s + 1), and each
+    # later row from the one before by Pascal's rule, with additions only
+    binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (s + 1), initial=1))
     for n in range(n_min, n_max + 1):
         terms += seen[n]
-        value = sum(comb(n, s) * powers[s][n - max(s, n_min)] for s in range(n + 1))
+        value = sum(b * powers[s][n - max(s, n_min)] for s, b in enumerate(binomials))
         rows.append((value, terms))
+        binomials = [1, *map(add, binomials, binomials[1:]), 1]
     return rows
-
-
-def _compiled(source: str, name: str, **names):
-    # generated code looks `profiles.compositions` up at each call, so a
-    # rebinding of that name reaches the compiled walk too
-    namespace = {"profiles": profiles, **names}
-    exec(source, namespace)
-    return namespace[name]
 
 
 @lru_cache(maxsize=None)
@@ -293,47 +288,13 @@ def _kernel(q: int):
             b3 = c0
             return b1 * b2 - b3
 
-    and `direct_sum` builds the whole direct-L sum around the same code,
-    walking the profiles itself and unpacking each one in its loop target.
-    It runs the block sums and g only on profiles whose lowest nonzero
-    class past 0 is neither class 1 nor class 2, and steps g along those
-    two classes by its differences s1 and s2 (see `direct_sum`):
-
-        def direct_sum(n):
-            acc = {}
-            get = acc.get
-            terms = 0
-            w = 1
-            for terms, (c0, c1, c2, c3) in enumerate(profiles.compositions(n, 2), 1):
-                if c1:
-                    w = -w * (c0 + 1) // c1
-                    g -= s1
-                elif c2:
-                    v = c0 + 1
-                    w = (w if v & 1 else -w) * v // c2
-                    g = g2 = g2 - s2
-                    s1 = s12 = s12 - t
-                else:
-                    if c3:
-                        v = c0 + 1
-                        w = (-w if v & 1 else w) * v // c3
-                    b1 = c0 + c2
-                    b2 = c0 + c1
-                    b3 = c0
-                    g = b1 * b2 - b3
-                    if c0:
-                        g2 = g
-                        s1 = s12 = b2 - 1
-                        s2 = b1 - 1
-                        t = 1
-                acc[g] = get(g, 0) + w
-            return sum(w * g ** n for g, w in acc.items()), terms, len(acc)
+    and `direct_sum` builds the whole direct-L sum around the same code.
 
     adds and mults are the additions and inner multiplications one call
     of g performs, which `tallies.add_sum_ops` counts once per sum.
     """
     source, adds, mults = _kernel_source(q)
-    return _compiled(source, "g"), adds, mults
+    return profiles._compiled(source, "g"), adds, mults
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +331,38 @@ def direct_sum(q: int, bracket: str = "derived"):
     block sums and g in full, and then the differences only if c0 >= 1:
     with c0 = 0 the next step has j >= 3 again, and skipping them there
     keeps k = 5 from paying for differences it never uses.  At k = 1 the
-    bracket is c0 itself, and every profile takes it in full.
+    bracket is c0 itself, and every profile takes it in full.  At k = 2
+    the source is
+
+        def direct_sum(n):
+            acc = {}
+            get = acc.get
+            terms = 0
+            w = 1
+            for terms, (c0, c1, c2, c3) in enumerate(profiles.compositions(n, 2), 1):
+                if c1:
+                    w = -w * (c0 + 1) // c1
+                    g -= s1
+                elif c2:
+                    v = c0 + 1
+                    w = (w if v & 1 else -w) * v // c2
+                    g = g2 = g2 - s2
+                    s1 = s12 = s12 - t
+                else:
+                    if c3:
+                        v = c0 + 1
+                        w = (-w if v & 1 else w) * v // c3
+                    b1 = c0 + c2
+                    b2 = c0 + c1
+                    b3 = c0
+                    g = b1 * b2 - b3
+                    if c0:
+                        g2 = g
+                        s1 = s12 = b2 - 1
+                        s2 = b1 - 1
+                        t = 1
+                acc[g] = get(g, 0) + w
+            return sum(w * g ** n for g, w in acc.items()), terms, len(acc)
 
     Like terms are collected: acc maps each bracket value to the sum of
     the weights of the profiles that have it, and each of its `distinct`
@@ -384,15 +376,15 @@ def direct_sum(q: int, bracket: str = "derived"):
     among them.
     """
     source, costs = _sum_source(q, bracket)
-    return _compiled(source, "direct_sum"), costs
+    return profiles._compiled(source, "direct_sum"), costs
 
 
 @lru_cache(maxsize=None)
 def range_sum(q: int):
-    """R_k(n) for every n <= N from one walk over profiles of length q = 2^(k-1), compiled once.
+    """The one walk over profiles of length q = 2^(k-1) that serves R_k(n) for every n <= N, compiled once.
 
-    `range_sum(N, n_min)` returns [(R_k(n), terms) for n = n_min..N].
-    The all-ones class v* = q - 1, every tracked row's hall omitted, is
+    `range_sum(N)` returns (acc, seen), from which `_finish` makes the
+    rows (R_k(n), terms) for n <= N.  The all-ones class v* = q - 1, every tracked row's hall omitted, is
     in no block sum.  For a profile c of n, write c' for c with v*
     emptied and s = |c'|.  Then g(c) and each shifted count G_v(c)
     depend on c' alone: g(c) = g(c') = gamma, and G_v, for v != v*, is
@@ -415,16 +407,14 @@ def range_sum(q: int):
     into acc[(s, gamma)].  seen[s] counts every profile visited,
     skipped ones too, so row n's terms, the profiles with s <= n, are
     counted and not computed; they equal C(n + q - 1, q - 1), what
-    `reduced_count` reports.  `_finish` then makes each row from acc:
-    one power per key and row, each the one before times gamma, and one
-    binomial per s and row.  Rows below n_min are not made, so a table
-    that starts at a large n pays for the walk and its own rows only:
-    on 2 vCPUs (Python 3.11.7) every row to n = 2000 at k = 2 took
-    about 100 s, and the last row alone 0.4 s.
-    With class 0 the only class besides v* (k = 2) the multinomial is
+    `reduced_count` reports.  The walk only walks: `_finish` makes
+    each row from acc, with one power per key and row, each the one
+    before times gamma, and it makes no row below the first one asked
+    for, so a table that starts at a large n pays for the walk and its
+    own rows only.  With class 0 the only class besides v* (k = 2) the multinomial is
     1 and no table is built.  At m = 2 the source is
 
-        def range_sum(n_max, n_min):
+        def range_sum(n_max):
             fact = profiles.factorial_table(n_max)
             acc = {}
             get = acc.get
@@ -459,11 +449,11 @@ def range_sum(q: int):
                     y = -y
                 key = s, b1 * b2 - b3
                 acc[key] = get(key, 0) + y
-            return finish(acc, seen, 2, n_min)
+            return acc, seen
 
     Nothing here counts operations: `table` and selftest print none.
     """
-    return _compiled(_range_source(q), "range_sum", finish=_finish)
+    return profiles._compiled(_range_source(q), "range_sum")
 
 
 def _tracked_rows(q: int) -> int:

@@ -151,8 +151,7 @@ def evaluate_expression(expr: Expression, n: int, *, max_terms: int | None = Non
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    q = 1 << expr.m
-    guards.check_terms(n, n, q, max_terms, f"expression evaluation for k={expr.k}, n={n}")
+    q = guards.check_sum(expr.m, n, n, max_terms, f"expression evaluation for k={expr.k}, n={n}")
 
     term_classes = []
     for gt in expr.g_terms:

@@ -20,8 +20,10 @@ power once.
 `reduced_counts` gives R_k(n) for a whole range of n from one walk over
 the profiles of its largest n (`column_counts.range_sum`), since the
 all-ones class, in no block sum, can hold the floors a smaller n leaves
-out.  `table` and selftest's range suites use it; `count`, `bench` and
+out; `column_counts._finish` then makes the rows asked for.  `table`
+and selftest's range suites use it; `count`, `bench` and
 `reduced_count` stay one sum per n, and only they report op counts.
+Every sum passes `guards.check_sum` before it builds anything.
 Every entry point takes its k and n through `operator.index`, so a
 float is a TypeError at the call.
 
@@ -116,10 +118,7 @@ def _evaluate(
     else:
         m = k - 1
         what = f"reduced count for k={k}, n={n}"
-    # the guards come first, so a refused run builds no 2^m and compiles no kernel
-    guards.check_expansion(m, what)
-    q = 1 << m
-    guards.check_terms(n, n, q, max_terms, what)
+    q = guards.check_sum(m, n, n, max_terms, what)
     # direct_sum raises ValueError for a bracket other than the two it knows
     if direct:
         kernel, cost = column_counts.direct_sum(q, bracket)
@@ -188,21 +187,19 @@ def reduced_counts(
     whose classes other than v* hold at most n floors.  Its class v*,
     every tracked row's hall omitted, is in no block sum, so it takes
     the n_max - s floors a smaller n leaves out, and one walk serves
-    every row (see `column_counts.range_sum`).  The guard bounds the
-    walk, the profiles of n_max.  No op counts are kept.
+    every row (see `column_counts.range_sum`); `column_counts._finish`
+    then makes the rows from n_min on.  The guard bounds the walk, the
+    profiles of n_max.  No op counts are kept.
     """
     k, n_max, n_min = index(k), index(n_max), index(n_min)
     if k < 1:
         raise ValueError("need k >= 1")
     if not 0 <= n_min <= n_max:
         raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
-    m = k - 1
     what = f"reduced counts for k={k}, n={n_min}..{n_max}"
-    # the guards come first, so a refused run builds no 2^m and compiles no walk
-    guards.check_expansion(m, what)
-    q = 1 << m
-    guards.check_terms(n_max, n_max, q, max_terms, what)
-    return column_counts.range_sum(q)(n_max, n_min)
+    q = guards.check_sum(k - 1, n_max, n_max, max_terms, what)
+    acc, seen = column_counts.range_sum(q)(n_max)
+    return column_counts._finish(acc, seen, k - 1, n_min)
 
 
 def total_count(

@@ -12,7 +12,8 @@ Term counts of the counting formulas grow like n^(2^(k-1) - 1), so every
 evaluator predicts its term count up front and refuses with a clear
 diagnostic when the prediction exceeds the ceiling: the caller's
 `max_terms` (`--max-terms`), else DEFAULT_MAX_TERMS.  A range of n, as
-`table` and `bench` run it, is bounded as a whole.
+`table` and `bench` run it, is bounded as a whole.  Every sum takes
+both checks from `check_sum`, the expansion first.
 
 Either size, when too large to matter, is cut short and reported as
 "more than" a bound.
@@ -69,6 +70,18 @@ def check_terms(lo: int, hi: int, classes: int, max_terms: int | None, what: str
             f"{what} would evaluate {predicted} terms, above the ceiling of {limit}; "
             "raise --max-terms to proceed"
         )
+
+
+def check_sum(m: int, lo: int, hi: int, max_terms: int | None, what: str) -> int:
+    """Refuse the sums over profiles of 2^m classes for n = lo..hi past either ceiling; return 2^m.
+
+    The expansion is checked first, so a refused m never builds 2^m,
+    and then the terms of the sums together (`check_terms`).
+    """
+    check_expansion(m, what)
+    q = 1 << m
+    check_terms(lo, hi, q, max_terms, what)
+    return q
 
 
 def check_expansion(m: int, what: str) -> None:

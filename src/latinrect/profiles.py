@@ -15,9 +15,12 @@ Class labels render the bits in index order, so for m = 2 the classes
 order, O(1) amortized per step.  Its walk is compiled once per m: the
 profile lives in the locals c0, c1, ..., and each step is a chain of
 tests for the lowest nonzero class, so no step copies a list or scans
-one.
+one.  Every generated function of the package, the walk and the sums
+of `column_counts`, is compiled by `_compiled` and binds a profile to
+those locals with the tuple target of `_names`.
 """
 
+import sys
 from collections.abc import Iterator
 from functools import lru_cache
 from math import perm
@@ -73,14 +76,11 @@ def _walk(m: int):
                 else:
                     return
     """
-    namespace = {}
-    exec(_walk_source(m), namespace)
-    return namespace["walk"]
+    return _compiled(_walk_source(m), "walk")
 
 
 def _walk_source(m: int) -> str:
     q = 1 << m
-    names = [f"c{i}" for i in range(q)]
     steps = []
     for i in range(q - 1):
         if i == 0:
@@ -92,13 +92,34 @@ def _walk_source(m: int) -> str:
     return "\n".join([
         "def walk(n):",
         "    c0 = n",
-        *(f"    {name} = 0" for name in names[1:]),
+        *(f"    c{i} = 0" for i in range(1, q)),
         "    while True:",
-        # a one-class profile needs the trailing comma of a 1-tuple
-        f"        yield ({', '.join(names)}{',' if q == 1 else ''})",
+        f"        yield ({_names(q)})",
         *steps,
         *end,
     ])
+
+
+def _names(q: int) -> str:
+    """A tuple target that binds a profile's q entries to the local names c0, c1, ...
+
+    Every generated walk and sum spells a profile this way.
+    """
+    names = ", ".join(f"c{cls}" for cls in range(q))
+    # one class needs the trailing comma of a 1-tuple
+    return names if q > 1 else names + ","
+
+
+def _compiled(source: str, name: str):
+    """The function `name` that the generated `source` defines, compiled in a namespace of its own.
+
+    Its one global is this module, as `profiles`.  Generated sums look
+    `profiles.compositions` up at each call, so a rebinding of that name
+    reaches them too.
+    """
+    namespace = {"profiles": sys.modules[__name__]}
+    exec(source, namespace)
+    return namespace[name]
 
 
 # 0!, 1!, ...: grown on demand; every factorial_table is a slice of it

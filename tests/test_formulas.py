@@ -1,5 +1,5 @@
 import time
-from math import comb, factorial
+from math import comb, expm1, factorial, log, log1p, perm
 from types import SimpleNamespace
 
 import pytest
@@ -360,6 +360,34 @@ def test_one_walk_matches_the_pinned_oracle_value_at_n_18():
     rows = reduced_counts(4, 18)
     assert rows[18] == (510616928146758630267870258448543665082859520, 480700)
     assert rows[16][0] == 17237448791456599571078045378751528960
+
+
+def log_of(x):
+    """The natural log of a positive integer of any size, from its top 64 bits."""
+    shift = max(x.bit_length() - 64, 0)
+    return log(x >> shift) + shift * log(2)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 300), (3, 60), (4, 16)])
+def test_one_walk_approaches_the_godsil_mckay_asymptotics(k, n_max):
+    # Godsil and McKay (J. Combin. Theory Ser. B 48, 1990): L_k(n) ~ (n!)^k
+    # (n(n-1)...(n-k+1)/n^k)^n (1 - k/n)^(-n/2) e^(-k/2), with L_k(n) = n! R_k(n);
+    # the ratio tends to 1 like c_k / n from below (measured: n (ratio - 1)
+    # rises -0.78 -> -0.50 at k = 2, -1.31 -> -0.79 at k = 3, -1.78 -> -1.31 at k = 4)
+    rows = reduced_counts(k, n_max)
+    scaled = []
+    for n in range(2 * k, n_max + 1):
+        log_l = log_of(factorial(n)) + log_of(rows[n][0])
+        log_gm = (k * log_of(factorial(n)) + n * (log_of(perm(n, k)) - k * log(n))
+                  - n / 2 * log1p(-k / n) - k / 2)
+        scaled.append(n * expm1(log_l - log_gm))
+    assert all(-2 < a < b < 0 for a, b in zip(scaled, scaled[1:])), (k, scaled)
+
+
+def test_one_walk_keeps_the_forced_last_row():
+    # R_(n-1)(n) = R_n(n): an (n-1)-by-n Latin rectangle has one completion
+    for n in range(2, 6):
+        assert reduced_counts(n - 1, n)[n][0] == reduced_counts(n, n)[n][0], n
 
 
 def derangements_by_recurrence(n):

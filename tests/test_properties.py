@@ -1,7 +1,7 @@
 """Property-based checks of the algebraic identities."""
 
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, log, prod
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +358,22 @@ def test_sum_ops_equals_the_per_term_reference():
                 want, distinct = reference_sum_ops(n, k, cost, bracket)
                 got = sum_ops(n, 1 << k, cost, distinct)
                 assert got == want, (k, n, cost)
+
+
+def test_op_count_slopes_from_the_rule_alone_at_every_k():
+    # the paper's order n^(2^(k-1)) at k = 2..8, from `add_sum_ops` and
+    # each compiled g's cost, without evaluating a sum: the log-slope of
+    # a count from n to 2n is its exponent in n, up to lower-order terms
+    n = 10**4
+    for k in range(2, 9):
+        q = 1 << (k - 1)
+        cost = _kernel(q)[1:]
+        at_n, at_2n = sum_ops(n, q, cost), sum_ops(2 * n, q, cost)
+        naive = log(at_2n.mults_assembly_naive / at_n.mults_assembly_naive, 2)
+        assert abs(naive - q) <= 0.005 * q, (k, naive)
+        # binary powering puts every add and mult together about
+        # n / log n under the naive model (measured: +0.11 at k = 2 to
+        # -0.57 at k = 8); a per-term cost that grew with n would not be
+        total = [t.adds + t.mults_inner + t.mults_assembly for t in (at_n, at_2n)]
+        actual = log(total[1] / total[0], 2)
+        assert abs(actual - (q - 1)) <= 0.6, (k, actual)
