@@ -18,7 +18,9 @@ to the n-th power once.  `range_sum` compiles one walk over the
 profiles of N that serves the reduced sum for every n up to N: the
 all-ones class is in no block sum, so it holds the floors a smaller n
 leaves out, and the walk collects like terms by (floors outside it,
-g).  `_finish` makes the rows from what the walk collected.  Each
+g).  It carries its weight by `direct_sum`'s step (`_step`) and builds
+no factorial table.  `_finish` makes the rows from what the walk
+collected, holding one power per key at a time.  Each
 generator emits bare lines that the function around them indents, and
 `profiles._compiled` compiles every one of them.
 Nothing here counts operations: `tallies.add_sum_ops` scales each
@@ -37,7 +39,8 @@ ground elements 1..m of the partitions.
 
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from math import comb
+from operator import mul
 
 from . import guards, partitions, profiles
 from .tallies import assembly_product, powered
@@ -144,6 +147,16 @@ def _indent(lines) -> list[str]:
     return ["    " + line for line in lines]
 
 
+def _step(j: int) -> list[str]:
+    # w into a profile whose lowest nonzero class past 0 is j: the step
+    # emptied class j - 1, which held v = c0 + 1 floors (see `direct_sum`)
+    flips = profiles.class_weight(j) & 1
+    if profiles.class_weight(j - 1) & 1:
+        signed = "w if v & 1 else -w" if flips else "-w if v & 1 else w"
+        return ["v = c0 + 1", f"w = ({signed}) * v // c{j}"]
+    return [f"w = {'-' if flips else ''}w * (c0 + 1) // c{j}"]
+
+
 def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]:
     m = _tracked_rows(q)
     if q < 2:
@@ -161,31 +174,21 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
         differences = [_polynomial(_difference(m, s)) for s in (1, 2, 3)] if q > 2 else []
     else:
         raise ValueError(f"unknown bracket variant {bracket!r}")
-    odd = [profiles.class_weight(cls) & 1 for cls in range(q)]
-
-    def step(j):
-        # into a profile whose lowest nonzero class past 0 is j: the step
-        # emptied class j - 1, which held v = c0 + 1 floors (see `direct_sum`)
-        if odd[j - 1]:
-            signed = "w if v & 1 else -w" if odd[j] else "-w if v & 1 else w"
-            return ["v = c0 + 1", f"w = ({signed}) * v // c{j}"]
-        return [f"w = {'-' if odd[j] else ''}w * (c0 + 1) // c{j}"]
-
     bracket_lines = [*lines, f"g = {poly}"]
     if q == 2:
         # k = 1: g is c0 itself, which no difference makes cheaper
-        body = ["if c1:", *_indent(step(1)), *bracket_lines]
+        body = ["if c1:", *_indent(_step(1)), *bracket_lines]
         step_costs = (0, 0), (0, 0)
     else:
         full = []
         for j in range(3, q):
-            full += [f"{'if' if j == 3 else 'elif'} c{j}:", *_indent(step(j))]
+            full += [f"{'if' if j == 3 else 'elif'} c{j}:", *_indent(_step(j))]
         d1, d2, d3 = (code for code, _, _ in differences)
         full += [*bracket_lines, "if c0:",
                  *_indent(["g2 = g", f"s1 = s12 = {d1}", f"s2 = {d2}", f"t = {d3}"])]
         body = [
-            "if c1:", *_indent([*step(1), "g -= s1"]),
-            "elif c2:", *_indent([*step(2), "g = g2 = g2 - s2", "s1 = s12 = s12 - t"]),
+            "if c1:", *_indent([*_step(1), "g -= s1"]),
+            "elif c2:", *_indent([*_step(2), "g = g2 = g2 - s2", "s1 = s12 = s12 - t"]),
             "else:", *_indent(full),
         ]
         step_costs = (1, 0), (2, 0)
@@ -209,31 +212,25 @@ def _range_source(q: int) -> str:
     top = q - 1  # the all-ones class v*: in no block sum, so it is the walk's slack
     lines, poly, _, _ = _g_source(m)
     masks = _block_masks(m)
-    body = [f"s = n_max - c{top}", "seen[s] += 1", *lines]
+    body = []
+    for j in range(1, q):
+        body += [f"{'if' if j == 1 else 'elif'} c{j}:", *_indent(_step(j))]
+    body += [f"s = n_max - c{top}", "seen[s] += 1", *lines]
     body += [f"d{bm} = b{bm} - 1" for bm in masks]
-    body.append("y = 1")
+    body.append("y = w")
     for cls in range(top):
         # G_cls: g after one floor of class cls moves to v*, which lowers
         # by one the block sums that hold class cls
         lowered, _, _ = _polynomial(_expansion(m), {bm for bm in masks if not cls & bm})
         body += [f"if c{cls}:", f"    x = {lowered}", "    if not x:", "        continue",
                  f"    y *= x ** c{cls}"]
-    # the multinomial s! / Π c_cls!, once no factor is 0; it is 1 when
-    # class 0 is the only one (s = c0), which then needs no table
-    table = []
-    if top > 1:
-        table = ["    fact = profiles.factorial_table(n_max)"]
-        body.append(f"y = y * fact[s] // ({' * '.join(f'fact[c{cls}]' for cls in range(top))})")
-    odd = [f"c{cls}" for cls in range(top) if profiles.class_weight(cls) & 1]
-    if odd:
-        body += [f"if ({' + '.join(odd)}) & 1:", "    y = -y"]
     body += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
     return "\n".join([
         "def range_sum(n_max):",
-        *table,
         "    acc = {}",
         "    get = acc.get",
         "    seen = [0] * (n_max + 1)",
+        "    w = 1",
         f"    for ({profiles._names(q)}) in profiles.compositions(n_max, {m}):",
         *_indent(_indent(body)),
         "    return acc, seen",
@@ -243,33 +240,39 @@ def _range_source(q: int) -> str:
 def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
     """The rows (R_k(n), terms) for n = n_min..N from one walk over the profiles of N.
 
-    acc maps (s, gamma) to W_s(gamma), and seen[s] counts the profiles
-    the walk visited with |c'| = s.  Row n is
+    acc maps (s, gamma) to the summed weights A_s(gamma) of the walk,
+    and seen[s] counts the profiles it visited with |c'| = s.  Row n is
     Σ_s C(n, s) Σ_gamma W_s(gamma) ((-1)^m gamma)^(n - s): its class v*
     holds the other n - s floors, each with m omitted halls and the
-    factor gamma.  Its terms are the visited profiles with s <= n.
+    factor gamma.  The walk's weight counts v*'s N - s floors of the
+    profile of N, so A_s(gamma) = C(N, s) (-1)^(m(N - s)) W_s(gamma),
+    and since C(n, s) / C(N, s) = C(N - s, n - s) / C(N, n), row n is
+
+        (-1)^(m(N - n)) Σ_s C(N - s, n - s) Σ_gamma A_s(gamma) gamma^(n - s) / C(N, n),
+
+    an exact quotient, taken once per row; at n = N every coefficient
+    is 1.  Its terms are the visited profiles with s <= n.
     """
     n_max = len(seen) - 1
-    # powers[s][i] = Σ_gamma W_s(gamma) ((-1)^m gamma)^x for the i-th exponent
-    # x a row n_min..N needs, from max(n_min - s, 0) on; each power is the
-    # one before times (-1)^m gamma
-    powers = [[0] * (n_max - max(s, n_min) + 1) for s in range(n_max + 1)]
-    for (s, gamma), w in acc.items():
-        base = -gamma if m & 1 else gamma
-        row = powers[s]
-        first = w * base ** max(n_min - s, 0)
-        row[:] = map(add, row, accumulate(repeat(base, len(row) - 1), mul, initial=first))
+    # per key, its terms of the rows from max(s, n_min) on, made one at a
+    # time, each the one before times gamma: one big integer per key is
+    # held at a time
+    powers = [[] for _ in seen]
+    for (s, gamma), a in acc.items():
+        first = a * gamma ** max(n_min - s, 0)
+        powers[s].append(accumulate(repeat(gamma, n_max - max(s, n_min)), mul, initial=first))
     rows = []
     terms = sum(seen[:n_min])
-    # C(n, s) for s = 0..n, most of the work at k = 2, where each s has one
-    # key: row n_min by C(n, s + 1) = C(n, s) (n - s) / (s + 1), and each
-    # later row from the one before by Pascal's rule, with additions only
-    binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (s + 1), initial=1))
+    # C(N - s, n - s) for s = 0..n, whose first, C(N, n), is also the
+    # row's divisor: row n_min's by the ratio (n - s) / (N - s) from s to
+    # s + 1, and each later row's from the row before by (N - n) / (n + 1 - s)
+    binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (n_max - s),
+                                initial=comb(n_max, n_min)))
     for n in range(n_min, n_max + 1):
         terms += seen[n]
-        value = sum(b * powers[s][n - max(s, n_min)] for s, b in enumerate(binomials))
-        rows.append((value, terms))
-        binomials = [1, *map(add, binomials, binomials[1:]), 1]
+        value = sum(b * sum(map(next, powers[s])) for s, b in enumerate(binomials)) // binomials[0]
+        rows.append((-value if m & (n_max - n) & 1 else value, terms))
+        binomials = [*(b * (n_max - n) // (n + 1 - s) for s, b in enumerate(binomials)), 1]
     return rows
 
 
@@ -316,6 +319,8 @@ def direct_sum(q: int, bracket: str = "derived"):
     past 0, and the rest to class 0.  So w <- w * v // c[j], an exact
     quotient, and w changes sign iff (v & odd(j - 1)) ^ odd(j), where
     odd(u) is the parity of class u's weight, as in `profiles.sign`.
+    `_step(j)` emits that step for class j, and `range_sum` carries its
+    own weight by the same lines.
 
     At k >= 2 the bracket is affine along classes 1 and 2, which each
     omit a single row's hall: a floor moved there from class 0 lowers by
@@ -400,26 +405,40 @@ def range_sum(q: int):
     g(c') = gamma.  The profiles of N are exactly the c' with s <= N,
     with v* holding the slack N - s, so one walk fills every W_s.
 
-    Per profile the walk takes each block sum once, then G_v for each
-    nonempty class v != v* in turn, and skips the profile at the first
-    G_v = 0, where Y is 0.  Otherwise it folds the powers, the
-    multinomial from the factorial table and the sign into Y and adds Y
-    into acc[(s, gamma)].  seen[s] counts every profile visited,
-    skipped ones too, so row n's terms, the profiles with s <= n, are
-    counted and not computed; they equal C(n + q - 1, q - 1), what
-    `reduced_count` reports.  The walk only walks: `_finish` makes
-    each row from acc, with one power per key and row, each the one
-    before times gamma, and it makes no row below the first one asked
-    for, so a table that starts at a large n pays for the walk and its
-    own rows only.  With class 0 the only class besides v* (k = 2) the multinomial is
-    1 and no table is built.  At m = 2 the source is
+    The walk carries `direct_sum`'s weight w = sign(c) N!/prod c_u!
+    over all q classes of the profile c of N, stepped by the same lines
+    (`_step`) at the top of every profile, before anything can skip it.
+    v* holds N - s floors and has weight m, so w is sign(c') s!/prod c'_u!
+    times C(N, s) (-1)^(m(N - s)), a factor that every profile with the
+    same s shares and that `_finish` takes out once per row.  So no
+    factorial table is built, and no quotient or parity test is taken
+    per profile.  Per profile the walk steps w, takes each block sum
+    once, then G_v for each nonempty class v != v* in turn, and skips
+    the profile at the first G_v = 0, where Y is 0.  Otherwise it folds
+    the powers into w and adds the result into acc[(s, gamma)].
+    seen[s] counts every profile visited, skipped ones too, so row n's
+    terms, the profiles with s <= n, are counted and not computed; they
+    equal C(n + q - 1, q - 1), what `reduced_count` reports.  The walk
+    only walks: `_finish` makes each row from acc, with one power per
+    key and row, each the one before times gamma, holding only the
+    current one, and it makes no row below the first one asked for, so
+    a table that starts at a large n pays for the walk and its own rows
+    only.  At m = 2 the source is
 
         def range_sum(n_max):
-            fact = profiles.factorial_table(n_max)
             acc = {}
             get = acc.get
             seen = [0] * (n_max + 1)
+            w = 1
             for (c0, c1, c2, c3) in profiles.compositions(n_max, 2):
+                if c1:
+                    w = -w * (c0 + 1) // c1
+                elif c2:
+                    v = c0 + 1
+                    w = (w if v & 1 else -w) * v // c2
+                elif c3:
+                    v = c0 + 1
+                    w = (-w if v & 1 else w) * v // c3
                 s = n_max - c3
                 seen[s] += 1
                 b1 = c0 + c2
@@ -428,7 +447,7 @@ def range_sum(q: int):
                 d1 = b1 - 1
                 d2 = b2 - 1
                 d3 = b3 - 1
-                y = 1
+                y = w
                 if c0:
                     x = d1 * d2 - d3
                     if not x:
@@ -444,9 +463,6 @@ def range_sum(q: int):
                     if not x:
                         continue
                     y *= x ** c2
-                y = y * fact[s] // (fact[c0] * fact[c1] * fact[c2])
-                if (c1 + c2) & 1:
-                    y = -y
                 key = s, b1 * b2 - b3
                 acc[key] = get(key, 0) + y
             return acc, seen

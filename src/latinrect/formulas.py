@@ -20,7 +20,9 @@ power once.
 `reduced_counts` gives R_k(n) for a whole range of n from one walk over
 the profiles of its largest n (`column_counts.range_sum`), since the
 all-ones class, in no block sum, can hold the floors a smaller n leaves
-out; `column_counts._finish` then makes the rows asked for.  `table`
+out.  That walk carries the signed multinomial by the direct-L sum's
+step and builds no factorial table; `column_counts._finish` then makes
+the rows asked for, one power per key at a time.  `table`
 and selftest's range suites use it; `count`, `bench` and
 `reduced_count` stay one sum per n, and only they report op counts.
 Every sum passes `guards.check_sum` before it builds anything.

@@ -277,6 +277,16 @@ def test_kernel_docstring_shows_the_generated_source():
     assert docstring_code(direct_sum.__doc__) == [_sum_source(4, "derived")[0]]
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 32])
+def test_range_sum_carries_the_direct_sum_weight(q):
+    # no factorial table: each weight line is one that direct_sum steps by
+    source = _range_source(q)
+    weight = [line.strip() for line in source.splitlines() if line.strip().startswith(("v =", "w ="))]
+    assert "fact" not in source and len(weight) >= q - 1
+    direct = {line.strip() for line in _sum_source(max(q, 2), "derived")[0].splitlines()}
+    assert set(weight) <= direct
+
+
 def test_range_sum_docstring_shows_the_generated_source():
     # the first block is the sum the walk evaluates, the last its code
     assert docstring_code(range_sum.__doc__)[-1] == _range_source(4)

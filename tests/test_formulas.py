@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb, expm1, factorial, log, log1p, perm
 from types import SimpleNamespace
 
@@ -360,6 +361,25 @@ def test_one_walk_matches_the_pinned_oracle_value_at_n_18():
     rows = reduced_counts(4, 18)
     assert rows[18] == (510616928146758630267870258448543665082859520, 480700)
     assert rows[16][0] == 17237448791456599571078045378751528960
+
+
+def test_one_walk_matches_the_pinned_oracle_value_at_k_5_n_8():
+    # R_5(8) as brute_force_count(5, 8, max_k=5, max_n=8) computed it; the
+    # walk steps its weight along all 16 classes of the profiles of 8
+    assert reduced_counts(5, 8)[8] == (22853592760320, comb(23, 15))
+
+
+def test_one_walk_holds_one_power_per_key():
+    # every row's powers held at once took 9.0 MiB at k = 2, N = 300, and
+    # grow like N^3; one current power per key takes about 0.3 MiB
+    reduced_counts(2, 1)  # compiled before tracing
+    tracemalloc.start()
+    try:
+        reduced_counts(2, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def log_of(x):
