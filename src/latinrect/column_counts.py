@@ -30,20 +30,25 @@ and `range_sum`'s callers print no op counts.
 fails to compile the 4,140 terms of 8 rows.
 `config_count` multiplies per-column counts over a whole profile; the
 floor carrying the column's back-row pick is handled by shifting one
-floor into the fully-omitted class first.
+floor into the fully-omitted class first.  It too is compiled once per
+profile length (`_config`): straight-line code that writes each shifted
+profile as a tuple literal and calls `choice_count` and
+`tallies.powered` once per nonempty class, looking both up here at
+each call.
 
 Row convention here: bit i of a class index refers to rectangle row
 i + 2 (bit 0 is the row right after the fixed back row), matching the
 ground elements 1..m of the partitions.
 """
 
+import sys
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
-from operator import mul
+from operator import index, mul  # noqa: F401  config_count's code reads index
 
 from . import guards, partitions, profiles
-from .tallies import assembly_product, powered
+from .tallies import assembly_product, powered  # noqa: F401  config_count's code reads powered; perfbench traces both
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +146,26 @@ def _kernel_source(q: int) -> tuple[str, int, int]:
     # m = 0 has no block sums: g is 1 and reads nothing
     unpack = [f"{profiles._names(q)} = c"] if lines else []
     return "\n".join(["def g(c):", *_indent([*unpack, *lines, f"return {poly}"])]), adds, mults
+
+
+def _config_source(q: int) -> str:
+    m = _tracked_rows(q)
+    guards.check_expansion(m, f"a column count over {q} classes")
+    top = q - 1  # the all-ones class: its shift leaves the profile as it is
+    # one chain of comparisons: the builtin min costs more at these lengths
+    negative = " or ".join(f"c{cls} < 0" for cls in range(q))
+    body = [f"{profiles._names(q)} = c", "column_counts.index(sum(c))", f"if {negative}:",
+            '    raise ValueError("profile entries must be nonnegative")', "y = 1"]
+    for cls in range(q):
+        arg = "c"
+        if cls != top:
+            shifted = [f"c{u}" for u in range(q)]
+            shifted[cls] += " - 1"
+            shifted[top] += " + 1"
+            arg = f"({', '.join(shifted)})"
+        body += [f"if c{cls}:",
+                 f"    y *= column_counts.powered(column_counts.choice_count({arg}), c{cls})"]
+    return "\n".join(["def config_count(c):", *_indent([*body, "return y"])])
 
 
 def _indent(lines) -> list[str]:
@@ -274,6 +299,12 @@ def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
         rows.append((-value if m & (n_max - n) & 1 else value, terms))
         binomials = [*(b * (n_max - n) // (n + 1 - s) for s, b in enumerate(binomials)), 1]
     return rows
+
+
+# g per profile length, as `_kernel` compiled it: a plain dict is read
+# faster than a cache, once per nonempty class of every reduced term.
+# Pool threads that race to fill it store equivalent kernels; either serves.
+_g = {}
 
 
 @lru_cache(maxsize=None)
@@ -503,7 +534,10 @@ def choice_count(counts) -> int:
     negative brackets to powers); the counting meaning applies only to
     nonnegative profiles.  m = 0 gives the empty product 1.
     """
-    return _kernel(len(counts))[0](counts)
+    g = _g.get(len(counts))
+    if g is None:
+        g = _g[len(counts)] = _kernel(len(counts))[0]
+    return g(counts)
 
 
 def shift_profile(counts, cls: int) -> tuple[int, ...]:
@@ -527,20 +561,41 @@ def shift_profile(counts, cls: int) -> tuple[int, ...]:
     return tuple(shifted)
 
 
+@lru_cache(maxsize=None)
+def _config(q: int):
+    """`config_count` for profiles of length q = 2^m, compiled once from `_config_source(q)`."""
+    return profiles._compiled(_config_source(q), "config_count", sys.modules[__name__])
+
+
 def config_count(counts) -> int:
     """Reduced configurations omitting every hall of a set with this profile.
 
-    Product over classes with nonzero count of the shifted column choice
-    count raised to that count; zero-exponent factors are omitted before
-    shifting, so no intermediate profile goes negative.  Nonnegative for
-    every valid profile.
+    The product, over the classes v with c[v] > 0 in class order, of
+    `choice_count(shift_profile(c, v)) ** c[v]`: one floor of v, the
+    one carrying the column's back-row pick, moves to the all-ones
+    class first, so no shifted profile goes negative.  Nonnegative for
+    every valid profile.  It runs the code that `_config` compiles once
+    per profile length.  That code checks the entries once per call: a
+    non-integer one raises TypeError and a negative one ValueError.  It
+    writes each shifted profile as a tuple literal and calls
+    `choice_count` and `tallies.powered` once per nonempty class, even
+    past a zero factor, looking both up in this module at each call, so
+    a rebinding of either reaches it.  At q = 4 its source is
+
+        def config_count(c):
+            c0, c1, c2, c3 = c
+            column_counts.index(sum(c))
+            if c0 < 0 or c1 < 0 or c2 < 0 or c3 < 0:
+                raise ValueError("profile entries must be nonnegative")
+            y = 1
+            if c0:
+                y *= column_counts.powered(column_counts.choice_count((c0 - 1, c1, c2, c3 + 1)), c0)
+            if c1:
+                y *= column_counts.powered(column_counts.choice_count((c0, c1 - 1, c2, c3 + 1)), c1)
+            if c2:
+                y *= column_counts.powered(column_counts.choice_count((c0, c1, c2 - 1, c3 + 1)), c2)
+            if c3:
+                y *= column_counts.powered(column_counts.choice_count(c), c3)
+            return y
     """
-    powers = []
-    for cls, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        if cnt < 0:
-            raise ValueError("profile entries must be nonnegative")
-        base = choice_count(shift_profile(counts, cls))
-        powers.append(powered(base, cnt))
-    return assembly_product(powers)
+    return _config(len(counts))(counts)

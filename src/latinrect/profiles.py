@@ -15,9 +15,10 @@ Class labels render the bits in index order, so for m = 2 the classes
 order, O(1) amortized per step.  Its walk is compiled once per m: the
 profile lives in the locals c0, c1, ..., and each step is a chain of
 tests for the lowest nonzero class, so no step copies a list or scans
-one.  Every generated function of the package, the walk and the sums
-of `column_counts`, is compiled by `_compiled` and binds a profile to
-those locals with the tuple target of `_names`.
+one.  Every generated function of the package, the walk here and g,
+`config_count` and the sums of `column_counts`, is compiled by
+`_compiled` and binds a profile to those locals with the tuple target
+of `_names`.
 """
 
 import sys
@@ -110,14 +111,16 @@ def _names(q: int) -> str:
     return names if q > 1 else names + ","
 
 
-def _compiled(source: str, name: str):
+def _compiled(source: str, name: str, module=None):
     """The function `name` that the generated `source` defines, compiled in a namespace of its own.
 
-    Its one global is this module, as `profiles`.  Generated sums look
-    `profiles.compositions` up at each call, so a rebinding of that name
-    reaches them too.
+    Its one global is `module`, by default this one, under the last
+    part of its name (`profiles`, `column_counts`).  Generated code
+    looks that module's functions up at each call, as the sums do
+    `profiles.compositions`, so a rebinding of the name reaches it too.
     """
-    namespace = {"profiles": sys.modules[__name__]}
+    module = module or sys.modules[__name__]
+    namespace = {module.__name__.rpartition(".")[2]: module}
     exec(source, namespace)
     return namespace[name]
 

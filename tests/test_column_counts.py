@@ -1,10 +1,12 @@
 import random
 import textwrap
-from math import comb
+from math import comb, prod
 
 import pytest
 
+from latinrect import column_counts, tallies
 from latinrect.column_counts import (
+    _config_source,
     _difference,
     _kernel,
     _kernel_source,
@@ -114,6 +116,64 @@ def test_config_count_nonnegative():
 def test_config_count_rejects_negative_entries():
     with pytest.raises(ValueError):
         config_count((2, -1, 1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        config_count((3, -1, 0, 0))
+
+
+@pytest.mark.parametrize("profile", [(1.5, 0, 0, 0), (1.5, -0.5, 0, 0)])
+def test_config_count_refuses_non_integer_entries(profile):
+    # a float once gave a complex number: the type is checked before the sign
+    with pytest.raises(TypeError):
+        config_count(profile)
+
+
+def literal_config_count(profile):
+    """The paper's product, built from the public pieces: prod g(c shifted at v) ** c[v]."""
+    return prod(choice_count(shift_profile(profile, v)) ** cnt for v, cnt in enumerate(profile) if cnt)
+
+
+def test_config_count_is_the_literal_product_on_every_small_profile():
+    checked = want = 0
+    for k, n_top in ((1, 8), (2, 8), (3, 6), (4, 5), (5, 4)):
+        for n in range(n_top + 1):
+            for profile in compositions(n, k - 1):
+                assert config_count(profile) == literal_config_count(profile), profile
+                checked += 1
+        q = 1 << (k - 1)
+        want += comb(n_top + q, q)  # the profiles of length q summing to at most n_top
+    assert checked == want
+
+
+@pytest.mark.parametrize("q", [1 << m for m in range(8)])
+def test_config_count_is_the_literal_product_at_every_profile_length(q):
+    # zeros, ones and larger entries in every position, and a nonzero all-ones class
+    rng = random.Random(q)
+    profile = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(q - 1)) + (1,)
+    assert config_count(profile) == literal_config_count(profile)
+
+
+def test_config_count_calls_choice_count_and_powered_through_the_module(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, args))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(column_counts, "choice_count", spy("g", choice_count))
+    monkeypatch.setattr(column_counts, "powered", spy("power", tallies.powered))
+    # (1, 1, 0, 0) has G = 0 at its first class; the second is still taken
+    for profile in ((1, 1, 0, 0), (2, 0, 1, 0, 0, 3, 0, 1)):
+        calls.clear()
+        assert config_count(profile) == literal_config_count(profile)
+        nonzero = [v for v, cnt in enumerate(profile) if cnt]
+        assert [args for name, args in calls if name == "g"] == [
+            (shift_profile(profile, v),) for v in nonzero]
+        assert [args[1] for name, args in calls if name == "power"] == [profile[v] for v in nonzero]
+    # perfbench's tracer looks up every traced name in this module
+    assert column_counts.shift_profile is shift_profile
+    assert column_counts.assembly_product is tallies.assembly_product
 
 
 def test_profiles_past_seven_rows_refuse():
@@ -275,6 +335,7 @@ def test_kernel_docstring_shows_the_generated_source():
     # each compiled function's docstring shows its own generator's source
     assert docstring_code(_kernel.__doc__) == [_kernel_source(4)[0]]
     assert docstring_code(direct_sum.__doc__) == [_sum_source(4, "derived")[0]]
+    assert docstring_code(config_count.__doc__) == [_config_source(4)]
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 32])
