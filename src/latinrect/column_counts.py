@@ -45,7 +45,7 @@ import sys
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb
-from operator import index, mul  # noqa: F401  config_count's code reads index
+from operator import index, mul
 
 from . import guards, partitions, profiles
 from .tallies import assembly_product, powered  # noqa: F401  config_count's code reads powered; perfbench traces both
@@ -532,12 +532,15 @@ def choice_count(counts) -> int:
 
     Entries may be negative (the direct total formulas raise possibly
     negative brackets to powers); the counting meaning applies only to
-    nonnegative profiles.  m = 0 gives the empty product 1.
+    nonnegative profiles.  m = 0 gives the empty product 1.  The value
+    is taken through `operator.index`, so a non-integer entry that g
+    reads raises TypeError.  The all-ones class is in no block sum, so
+    g never reads it and this check cannot see it there.
     """
     g = _g.get(len(counts))
     if g is None:
         g = _g[len(counts)] = _kernel(len(counts))[0]
-    return g(counts)
+    return index(g(counts))
 
 
 def shift_profile(counts, cls: int) -> tuple[int, ...]:

@@ -8,8 +8,9 @@ multinomials or column-choice counts.  The backtracking memo in
 `brute_force_count` stores a partial rectangle under how many symbols
 have each type (which of rows 2..k have placed the symbol, and whether
 its column is still unfilled), up to a relabeling of rows 2..k.
-`lonely_hall_count` enumerates each column's picks once and multiplies
-the n column counts, since none of its rules links two columns.
+`lonely_hall_count` counts each column's picks by one recursion and
+multiplies the n column counts, since none of its rules links two
+columns.
 
 Rectangles are sequences of rows of integers in 1..n.  A configuration
 view of a rectangle places one room per (row, column) shaft at floor
@@ -20,7 +21,7 @@ of halls forced empty, never including the back row (row 1).
 """
 
 import itertools
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 
 from .guards import ResourceGuardError
@@ -35,7 +36,8 @@ LONELY_HALL_MAX_N = 6
 # the first column.  k=7 needs 92,160 entries (0.09 s to build, 1.7 ms
 # per memo miss; R_7(7) in 3 s); k=8 needs 1,290,240 (1.2 s, 17 ms).
 BRUTE_FORCE_MAX_TABLE = 10**5
-# most picks or tuples an enumeration may visit, at about 0.2 us each
+# most pick tuples or tuples an enumeration may count; about 0.2 us each
+# where each is visited, as in `injective_tuple_count`
 ENUMERATION_MAX = 10**7
 
 
@@ -254,10 +256,12 @@ def lonely_hall_count(
     column.  No rule links two columns, so a configuration is any choice
     of one admissible pick tuple per column, and the count is the
     product over columns of the number of admissible tuples.  Each
-    column's tuples are enumerated one by one, rows 2..k in turn; the
-    cost is the sum of the n column counts rather than their product.
-    With no hall omitted that sum is n (n-1) ... (n-k+1) picks, which
-    must stay within ENUMERATION_MAX whatever the guard.
+    column is one recursion over rows 2..k: a row picks an open floor
+    that no earlier row of the column took, and the last row's
+    admissible floors are counted with `int.bit_count` rather than
+    visited.  With no hall omitted a column has (n-1) ... (n-k+1) tuples,
+    so n (n-1) ... (n-k+1) picks over all columns; that bound on the
+    work must stay within ENUMERATION_MAX whatever the guard.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -281,48 +285,46 @@ def lonely_hall_count(
     blocked = {}  # row -> floors its halls omit; nothing here grows with k
     for row, floor in halls:
         blocked[row] = blocked.get(row, 0) | 1 << (floor - 1)
+    return prod(_column_count(2, k, 1 << j, full, blocked) for j in range(n))
 
-    def column(j: int) -> int:
-        total = 0
 
-        def pick(i: int, colmask: int):
-            nonlocal total
-            if i > k:
-                total += 1
-                return
-            avail = full & ~blocked.get(i, 0) & ~colmask
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                pick(i + 1, colmask | b)
-
-        pick(2, 1 << j)
-        return total
-
-    count = 1
-    for j in range(n):
-        count *= column(j)
+def _column_count(row: int, k: int, taken: int, full: int, blocked: dict) -> int:
+    # pick tuples of rows row..k: each row picks a floor of `full` its
+    # halls leave open and no earlier row of the column took (`taken`,
+    # which holds the back pick); the last row's picks are counted
+    if row > k:
+        return 1
+    avail = full & ~taken & ~blocked.get(row, 0)
+    if row == k:
+        return avail.bit_count()
+    count = 0
+    while avail:
+        b = avail & -avail
+        avail ^= b
+        count += _column_count(row + 1, k, taken | b, full, blocked)
     return count
 
 
 def profile_of(halls, k: int, n: int) -> tuple[int, ...]:
     """Tally floors by omission class: bit i set iff row i+2's hall is in the set.
 
-    The profile has 2^(k-1) entries, refused past BRUTE_FORCE_MAX_TABLE
-    (k >= 18) like the brute-force oracle's tables, before any is built.
+    The tally is taken from the hall list: a floor some hall names gets
+    its class bits, and every other floor is class 0, so the cost
+    follows the number of halls, not n.  The profile has 2^(k-1)
+    entries, refused past BRUTE_FORCE_MAX_TABLE (k >= 18) like the
+    brute-force oracle's tables, before any is built.
     """
     m = k - 1
     if m >= BRUTE_FORCE_MAX_TABLE.bit_length():  # exactly when 2^m > BRUTE_FORCE_MAX_TABLE
         raise ResourceGuardError(
             f"profile refused at k={k}: its 2^{m} classes pass {BRUTE_FORCE_MAX_TABLE} entries"
         )
-    halls = _normalize_halls(halls, k, n)
+    floor_class = {}  # floor -> its class; the floors no hall names are class 0
+    for row, floor in _normalize_halls(halls, k, n):
+        floor_class[floor] = floor_class.get(floor, 0) | 1 << (row - 2)
     counts = [0] * (1 << m)
-    for floor in range(1, n + 1):
-        cls = 0
-        for i in range(m):
-            if (i + 2, floor) in halls:
-                cls |= 1 << i
+    counts[0] = n - len(floor_class)
+    for cls in floor_class.values():
         counts[cls] += 1
     return tuple(counts)
 

@@ -83,6 +83,20 @@ def test_choice_count_accepts_negative_entries():
     assert choice_count((-1, 2, 0, 1)) == (-1 + 0) * (-1 + 2) - (-1)
 
 
+@pytest.mark.parametrize("profile", [(1.5, 0, 0, 0), (0, 2.0, 0, 0)])
+def test_choice_count_refuses_non_integer_entries(profile):
+    with pytest.raises(TypeError):
+        choice_count(profile)
+
+
+def test_choice_count_keeps_integer_values():
+    # the index check keeps every integer value, negative entries included
+    for profile, value in (((2, 1, 1, 0), 7), ((-1, 2, 0, 1), 0), ((-2, 3, -1, 4), (-2 - 1) * (-2 + 3) - (-2)),
+                           ((3, -2), 3), ((5,), 1), ((1,) * 8, injective_tuple_count((1,) * 8))):
+        got = choice_count(profile)
+        assert type(got) is int and got == value, profile
+
+
 def test_shift_profile():
     assert shift_profile((3, 1, 0, 1), 0) == (2, 1, 0, 2)
     assert shift_profile((3, 1, 0, 1), 3) == (3, 1, 0, 1)

@@ -1,6 +1,8 @@
 import ast
 import itertools
 import random
+import time
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -229,6 +231,28 @@ def test_oracle_imports_nothing_from_the_formula_side():
     assert "guards" in imported
 
 
+def definition_counts(k, n):
+    """Reference hall counts straight from the definition, for every hall set.
+
+    Visits every configuration of rows 2..k, each row any n-tuple of
+    floors.  One whose columns are distinct, back pick included, is
+    tallied under the set of halls it uses; it counts for a hall set
+    exactly when it uses none of that set's halls.
+    """
+    floors = range(1, n + 1)
+    used = Counter()
+    for rows in itertools.product(itertools.product(floors, repeat=n), repeat=k - 1):
+        if all(len(set(col)) == k for col in zip(floors, *rows)):
+            used[frozenset((i, f) for i, row in enumerate(rows, 2) for f in row)] += 1
+    return {halls: sum(c for u, c in used.items() if not u & halls) for halls in hall_sets(k, n)}
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)])
+def test_lonely_hall_matches_its_definition_on_every_hall_set(k, n):
+    for halls, want in definition_counts(k, n).items():
+        assert lonely_hall_count(k, n, halls, max_k=4) == want, sorted(halls)
+
+
 def test_lonely_hall_examples():
     assert lonely_hall_count(2, 3) == 8
     assert lonely_hall_count(2, 4, {(2, 2)}) == 24
@@ -295,6 +319,13 @@ def test_profile_of_examples():
     assert profile_of((), 2, 4) == (4, 0)
     assert profile_of({(2, 1), (3, 1)}, 3, 3) == (2, 0, 0, 1)
     assert profile_of({(2, 1), (3, 2)}, 3, 4) == (2, 1, 1, 0)
+
+
+def test_profile_of_costs_follow_the_halls_not_n():
+    start = time.perf_counter()
+    assert profile_of((), 3, 10**7) == (10**7, 0, 0, 0)
+    assert profile_of({(2, 5), (3, 5), (3, 10**7)}, 3, 10**7) == (10**7 - 2, 0, 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_equal_profiles_give_equal_counts():
