@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from math import factorial
 
 from . import bench, expressions, formulas, guards, oracle, selftest
@@ -362,9 +363,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    # one parser serves every request of the process: a parse keeps no
+    # state in it, and building one costs more than a small request
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    """Run one command, write its text to stdout or --out; each failure is one stderr line."""
-    parser = build_parser()
+    """Run one command, write its text to stdout or --out; each failure is one stderr line.
+
+    The parser is built on the first call, not at import, and reused.
+    """
+    parser = _parser()
     prog = parser.prog
     try:
         args = parser.parse_args(argv)

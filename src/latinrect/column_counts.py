@@ -18,9 +18,11 @@ to the n-th power once.  `range_sum` compiles one walk over the
 profiles of N that serves the reduced sum for every n up to N: the
 all-ones class is in no block sum, so it holds the floors a smaller n
 leaves out, and the walk collects like terms by (floors outside it,
-g).  It carries its weight by `direct_sum`'s step (`_step`) and builds
-no factorial table.  `_finish` makes the rows from what the walk
-collected, holding one power per key at a time.  Each
+g).  The walk is a loop nest whose limits are Hall's conditions
+(`_hall_bounds`), so it visits no profile whose term is 0; each level
+carries its own weight, and no factorial table is built.  `_finish`
+makes the rows from what the walk collected, holding one power per key
+at a time.  Each
 generator emits bare lines that the function around them indents, and
 `profiles._compiled` compiles every one of them.
 Nothing here counts operations: `tallies.add_sum_ops` scales each
@@ -232,41 +234,105 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
     return source, ((adds, mults), differences_cost, *step_costs)
 
 
+# Loop levels per generated function of the one walk's nest.  CPython
+# refuses more than 20 statically nested blocks; 12 already splits the
+# 15 levels at q = 16, so every q from 16 on runs the same chain.
+_NEST_LEVELS = 12
+
+
+def _hall_bounds(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per loop of the one walk's nest, outermost first: (class T, the classes u ⊋ T other than v*).
+
+    The loops run over the classes other than 0 and v* = 2^m - 1, in
+    descending popcount, then descending index, so every u ⊋ T is
+    fixed before T's loop starts.  A profile c' with s = |c'| >= 1 has
+    no G_v = 0 exactly when s > m and, for every T,
+
+        c'_T <= s - |T| - 1 - Σ c'_u over the u listed with T,
+
+    which is T's loop limit (see `range_sum`).
+    """
+    top = (1 << m) - 1
+    order = sorted(range(1, top), key=lambda t: (t.bit_count(), t), reverse=True)
+    return tuple((t, tuple(u for u in range(t + 1, top) if u & t == t)) for t in order)
+
+
 def _range_source(q: int) -> str:
     m = _tracked_rows(q)
-    top = q - 1  # the all-ones class v*: in no block sum, so it is the walk's slack
-    lines, poly, _, _ = _g_source(m)
+    # c' = 0, the only profile with s = 0: weight (-1)^(mN), and g = 0
+    # unless m = 0, since each partition of a nonempty row set has a block
+    weight = "-1 if n_max & 1 else 1" if m & 1 else "1"
+    head = ["def range_sum(n_max):", f"    acc = {{(0, {int(not m)}): {weight}}}"]
+    if q == 1:
+        return "\n".join([*head, "    return acc"])
+    _, poly, _, _ = _g_source(m)
     masks = _block_masks(m)
-    body = []
-    for j in range(1, q):
-        body += [f"{'if' if j == 1 else 'elif'} c{j}:", *_indent(_step(j))]
-    body += [f"s = n_max - c{top}", "seen[s] += 1", *lines]
-    body += [f"d{bm} = b{bm} - 1" for bm in masks]
-    body.append("y = w")
-    for cls in range(top):
+    full = q - 1  # the block of every row: its sum is class 0's floors
+    bounds = _hall_bounds(m)
+    levels = len(bounds) + 1  # level 0 runs s, level i > 0 class bounds[i - 1]
+    # each function of the chain holds _NEST_LEVELS levels, but the first
+    cuts = range(levels - _NEST_LEVELS, 0, -_NEST_LEVELS)
+    # the weight, and each block sum, inside level i's loop: a floor moved
+    # from class 0 to class t lowers the block sums whose blocks meet t.
+    # The singletons are the innermost loops, so the loop of a block's
+    # lowest row lowers its sum last, and names it as the leaf reads it
+    weights = ["w", *(f"w{t}" for t, _ in bounds)]
+    names = {**{bm: f"b{bm}" for bm in masks}, full: "c0"}
+    sums = [dict.fromkeys(names, "s")]
+    for t, _ in bounds:
+        sums.append({bm: names[bm] + ("" if t == bm & -bm else f"_{t}") if bm & t else name
+                     for bm, name in sums[-1].items()})
+    leaf = ["c0 = s"] if levels == 1 else []
+    leaf += [f"b{full} = c0", *(f"d{bm} = b{bm} - 1" for bm in masks), f"y = {weights[-1]}"]
+    for cls in range(q - 1):
         # G_cls: g after one floor of class cls moves to v*, which lowers
         # by one the block sums that hold class cls
         lowered, _, _ = _polynomial(_expansion(m), {bm for bm in masks if not cls & bm})
-        body += [f"if c{cls}:", f"    x = {lowered}", "    if not x:", "        continue",
-                 f"    y *= x ** c{cls}"]
-    body += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
-    return "\n".join([
-        "def range_sum(n_max):",
-        "    acc = {}",
-        "    get = acc.get",
-        "    seen = [0] * (n_max + 1)",
-        "    w = 1",
-        f"    for ({profiles._names(q)}) in profiles.compositions(n_max, {m}):",
-        *_indent(_indent(body)),
-        "    return acc, seen",
-    ])
+        leaf += [f"if c{cls}:", f"    y *= ({lowered}) ** c{cls}"]
+    leaf += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
+    functions = []
+
+    def level(i):
+        # the lines that run level i inside level i - 1's loop
+        if i == levels:
+            return leaf
+        if i in cuts:
+            args = ", ".join(dict.fromkeys(["acc", "get", "s", weights[i - 1], *sums[i - 1].values(),
+                                            *(f"c{t}" for t, _ in bounds[:i - 1])]))
+            functions.append([f"def nest{i}({args}):", *_indent(loop(i))])
+            return [f"nest{i}({args})"]
+        return loop(i)
+
+    def loop(i):
+        if i == 0:
+            sign = f"w = -w if (n_max - {m + 1}) & 1 else w" if m & 1 else None
+            return [f"w = column_counts.comb(n_max, {m + 1})", *filter(None, [sign]),
+                    f"for s in range({m + 1}, n_max + 1):", *_indent(level(1)),
+                    f"    w = {'-' if m & 1 else ''}w * (n_max - s) // (s + 1)"]
+        t, above = bounds[i - 1]
+        w, outer, here = weights[i], sums[i - 1], sums[i]
+        # c'_T < s - |T| - Σ c'_u; the first class loop has all s floors to take
+        stop = " - ".join([f"s - {t.bit_count()}", *(f"c{u}" for u in above)])
+        if outer[full] != "s":
+            stop = f"min({outer[full]} + 1, {stop})"
+        lowered = [f"{here[bm]} = {outer[bm]} - c{t}" for bm in here if bm & t]
+        # a floor moved from class 0 to class t: times class 0's floors
+        # before the move, over class t's after it, and odd |t| flips the sign
+        return [f"{w} = {weights[i - 1]}",
+                f"for c{t} in range({stop}):",
+                *_indent([*lowered, *level(i + 1)]),
+                f"    {w} = {'-' if t.bit_count() & 1 else ''}{w} * {here[full]} // (c{t} + 1)"]
+
+    body = ["get = acc.get", *loop(0), "return acc"]
+    return "\n\n".join(["\n".join([*head, *_indent(body)]),
+                        *("\n".join(f) for f in functions)])
 
 
-def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
+def _finish(acc, n_max: int, m: int, n_min: int) -> list[tuple[int, int]]:
     """The rows (R_k(n), terms) for n = n_min..N from one walk over the profiles of N.
 
-    acc maps (s, gamma) to the summed weights A_s(gamma) of the walk,
-    and seen[s] counts the profiles it visited with |c'| = s.  Row n is
+    acc maps (s, gamma) to the summed weights A_s(gamma) of the walk
+    over the profiles of N = n_max with m tracked rows.  Row n is
     Σ_s C(n, s) Σ_gamma W_s(gamma) ((-1)^m gamma)^(n - s): its class v*
     holds the other n - s floors, each with m omitted halls and the
     factor gamma.  The walk's weight counts v*'s N - s floors of the
@@ -276,27 +342,26 @@ def _finish(acc, seen, m: int, n_min: int) -> list[tuple[int, int]]:
         (-1)^(m(N - n)) Σ_s C(N - s, n - s) Σ_gamma A_s(gamma) gamma^(n - s) / C(N, n),
 
     an exact quotient, taken once per row; at n = N every coefficient
-    is 1.  Its terms are the visited profiles with s <= n.
+    is 1.  Its terms are the profiles of n, C(n + 2^m - 1, 2^m - 1)
+    (`guards.composition_count`): the walk visits only the profiles
+    whose terms are not 0, so it counts none.
     """
-    n_max = len(seen) - 1
     # per key, its terms of the rows from max(s, n_min) on, made one at a
     # time, each the one before times gamma: one big integer per key is
     # held at a time
-    powers = [[] for _ in seen]
+    powers = [[] for _ in range(n_max + 1)]
     for (s, gamma), a in acc.items():
         first = a * gamma ** max(n_min - s, 0)
         powers[s].append(accumulate(repeat(gamma, n_max - max(s, n_min)), mul, initial=first))
     rows = []
-    terms = sum(seen[:n_min])
     # C(N - s, n - s) for s = 0..n, whose first, C(N, n), is also the
     # row's divisor: row n_min's by the ratio (n - s) / (N - s) from s to
     # s + 1, and each later row's from the row before by (N - n) / (n + 1 - s)
     binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (n_max - s),
                                 initial=comb(n_max, n_min)))
     for n in range(n_min, n_max + 1):
-        terms += seen[n]
         value = sum(b * sum(map(next, powers[s])) for s, b in enumerate(binomials)) // binomials[0]
-        rows.append((-value if m & (n_max - n) & 1 else value, terms))
+        rows.append((-value if m & (n_max - n) & 1 else value, guards.composition_count(n, 1 << m)))
         binomials = [*(b * (n_max - n) // (n + 1 - s) for s, b in enumerate(binomials)), 1]
     return rows
 
@@ -350,8 +415,7 @@ def direct_sum(q: int, bracket: str = "derived"):
     past 0, and the rest to class 0.  So w <- w * v // c[j], an exact
     quotient, and w changes sign iff (v & odd(j - 1)) ^ odd(j), where
     odd(u) is the parity of class u's weight, as in `profiles.sign`.
-    `_step(j)` emits that step for class j, and `range_sum` carries its
-    own weight by the same lines.
+    `_step(j)` emits that step for class j.
 
     At k >= 2 the bracket is affine along classes 1 and 2, which each
     omit a single row's hall: a floor moved there from class 0 lowers by
@@ -419,15 +483,15 @@ def direct_sum(q: int, bracket: str = "derived"):
 def range_sum(q: int):
     """The one walk over profiles of length q = 2^(k-1) that serves R_k(n) for every n <= N, compiled once.
 
-    `range_sum(N)` returns (acc, seen), from which `_finish` makes the
-    rows (R_k(n), terms) for n <= N.  The all-ones class v* = q - 1, every tracked row's hall omitted, is
-    in no block sum.  For a profile c of n, write c' for c with v*
-    emptied and s = |c'|.  Then g(c) and each shifted count G_v(c)
-    depend on c' alone: g(c) = g(c') = gamma, and G_v, for v != v*, is
-    g with the block sums that hold class v lowered by one, which is
-    `config_count`'s shift of a floor of v into v*.  Only the sign, the
-    multinomial and v*'s factor gamma^(n - s) depend on n, and
-    splitting them off gives
+    `range_sum(N)` returns acc, from which `_finish` makes the rows
+    (R_k(n), terms) for n <= N.  The all-ones class v* = q - 1, every
+    tracked row's hall omitted, is in no block sum.  For a profile c of
+    n, write c' for c with v* emptied and s = |c'|.  Then g(c) and each
+    shifted count G_v(c) depend on c' alone: g(c) = g(c') = gamma, and
+    G_v, for v != v*, is g with the block sums that hold class v lowered
+    by one, which is `config_count`'s shift of a floor of v into v*.
+    Only the sign, the multinomial and v*'s factor gamma^(n - s) depend
+    on n, and splitting them off gives
 
         R_k(n) = sum over s <= n of C(n, s) (-1)^(m(n-s)) sum_gamma W_s(gamma) gamma^(n-s),
 
@@ -436,71 +500,78 @@ def range_sum(q: int):
     g(c') = gamma.  The profiles of N are exactly the c' with s <= N,
     with v* holding the slack N - s, so one walk fills every W_s.
 
-    The walk carries `direct_sum`'s weight w = sign(c) N!/prod c_u!
-    over all q classes of the profile c of N, stepped by the same lines
-    (`_step`) at the top of every profile, before anything can skip it.
-    v* holds N - s floors and has weight m, so w is sign(c') s!/prod c'_u!
+    The walk is a loop nest that visits only the c' whose G_v are all
+    nonzero.  By Hall's theorem G_v(c') = 0 for some nonempty v when a
+    nonempty row set T has too few floors open to it, and the nest's
+    limits are those conditions, exact (`_hall_bounds`; the tests check
+    them profile by profile).  c' = 0, the one profile with s = 0, is
+    written into acc first: its weight is (-1)^(mN), and its gamma is 0
+    (1 at m = 0).  The outermost loop runs s from m + 1, since at
+    s = 1..m the set of every row fails.  Then one loop per class T
+    other than 0 and v*, in `_hall_bounds`' order, runs c'_T from 0 to
+    the smaller of the floors left and s - |T| - 1 - Σ c'_u over the
+    classes u ⊋ T other than v*, and class 0 takes the floors left.
+    Every level carries its own weight.  The s loop carries
+    C(N, s) (-1)^(m(N - s)), the weight of the profile of N with s
+    floors in class 0 and N - s in v*; a step of T's loop moves a floor
+    from class 0 to T, which multiplies the weight by class 0's floors
+    before the move and divides it, exactly, by c'_T after it, and flips
+    its sign when |T| is odd.  So the leaf's w is `direct_sum`'s
+    sign(c) N!/prod c_u! over the profile c of N: sign(c') s!/prod c'_u!
     times C(N, s) (-1)^(m(N - s)), a factor that every profile with the
-    same s shares and that `_finish` takes out once per row.  So no
-    factorial table is built, and no quotient or parity test is taken
-    per profile.  Per profile the walk steps w, takes each block sum
-    once, then G_v for each nonempty class v != v* in turn, and skips
-    the profile at the first G_v = 0, where Y is 0.  Otherwise it folds
-    the powers into w and adds the result into acc[(s, gamma)].
-    seen[s] counts every profile visited, skipped ones too, so row n's
-    terms, the profiles with s <= n, are counted and not computed; they
-    equal C(n + q - 1, q - 1), what `reduced_count` reports.  The walk
-    only walks: `_finish` makes each row from acc, with one power per
-    key and row, each the one before times gamma, holding only the
-    current one, and it makes no row below the first one asked for, so
-    a table that starts at a large n pays for the walk and its own rows
-    only.  At m = 2 the source is
+    same s shares and that `_finish` takes out once per row.  No
+    factorial table is built.  The block sums are carried the same way:
+    every one starts at s, and T's loop lowers by c'_T those of the
+    blocks that meet T, since its floors left class 0, which is in every
+    block sum, for T, which is in none of those.  Class 0's floors are
+    the sum of the block of every row.  The leaf folds G_v^(c'_v) for
+    each nonempty class v != v* into w and adds the result into
+    acc[(s, gamma)].
+
+    The nest has q - 1 levels, and CPython compiles at most 20 nested
+    blocks, so each run of `_NEST_LEVELS` levels from the innermost out
+    is a function of its own, which the level above calls with what it
+    has fixed: from q = 16 on the nest is a chain.  The walk only walks:
+    `_finish` makes each row from acc, with one power per key and row,
+    each the one before times gamma, holding only the current one, and
+    it makes no row below the first one asked for, so a table that
+    starts at a large n pays for the walk and its own rows only.  At
+    m = 2 the source is
 
         def range_sum(n_max):
-            acc = {}
+            acc = {(0, 0): 1}
             get = acc.get
-            seen = [0] * (n_max + 1)
-            w = 1
-            for (c0, c1, c2, c3) in profiles.compositions(n_max, 2):
-                if c1:
-                    w = -w * (c0 + 1) // c1
-                elif c2:
-                    v = c0 + 1
-                    w = (w if v & 1 else -w) * v // c2
-                elif c3:
-                    v = c0 + 1
-                    w = (-w if v & 1 else w) * v // c3
-                s = n_max - c3
-                seen[s] += 1
-                b1 = c0 + c2
-                b2 = c0 + c1
-                b3 = c0
-                d1 = b1 - 1
-                d2 = b2 - 1
-                d3 = b3 - 1
-                y = w
-                if c0:
-                    x = d1 * d2 - d3
-                    if not x:
-                        continue
-                    y *= x ** c0
-                if c1:
-                    x = b1 * d2 - b3
-                    if not x:
-                        continue
-                    y *= x ** c1
-                if c2:
-                    x = d1 * b2 - b3
-                    if not x:
-                        continue
-                    y *= x ** c2
-                key = s, b1 * b2 - b3
-                acc[key] = get(key, 0) + y
-            return acc, seen
+            w = column_counts.comb(n_max, 3)
+            for s in range(3, n_max + 1):
+                w2 = w
+                for c2 in range(s - 1):
+                    b2 = s - c2
+                    c0_2 = s - c2
+                    w1 = w2
+                    for c1 in range(min(c0_2 + 1, s - 1)):
+                        b1 = s - c1
+                        c0 = c0_2 - c1
+                        b3 = c0
+                        d1 = b1 - 1
+                        d2 = b2 - 1
+                        d3 = b3 - 1
+                        y = w1
+                        if c0:
+                            y *= (d1 * d2 - d3) ** c0
+                        if c1:
+                            y *= (b1 * d2 - b3) ** c1
+                        if c2:
+                            y *= (d1 * b2 - b3) ** c2
+                        key = s, b1 * b2 - b3
+                        acc[key] = get(key, 0) + y
+                        w1 = -w1 * c0 // (c1 + 1)
+                    w2 = -w2 * c0_2 // (c2 + 1)
+                w = w * (n_max - s) // (s + 1)
+            return acc
 
     Nothing here counts operations: `table` and selftest print none.
     """
-    return profiles._compiled(_range_source(q), "range_sum")
+    return profiles._compiled(_range_source(q), "range_sum", sys.modules[__name__])
 
 
 def _tracked_rows(q: int) -> int:

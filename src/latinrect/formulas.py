@@ -20,9 +20,11 @@ power once.
 `reduced_counts` gives R_k(n) for a whole range of n from one walk over
 the profiles of its largest n (`column_counts.range_sum`), since the
 all-ones class, in no block sum, can hold the floors a smaller n leaves
-out.  That walk carries the signed multinomial by the direct-L sum's
-step and builds no factorial table; `column_counts._finish` then makes
-the rows asked for, one power per key at a time.  `table`
+out.  That walk is a loop nest whose limits are Hall's conditions, so
+it visits only the profiles whose terms are not 0; it carries the
+signed multinomial level by level and builds no factorial table, and
+`column_counts._finish` then makes the rows asked for, one power per
+key at a time.  `table`
 and selftest's range suites use it; `count`, `bench` and
 `reduced_count` stay one sum per n, and only they report op counts.
 Every sum passes `guards.check_sum` before it builds anything.
@@ -185,13 +187,14 @@ def reduced_counts(
 
     The values are `reduced_count`'s, and each row's terms is the
     number of profiles of n, C(n + 2^(k-1) - 1, 2^(k-1) - 1), as
-    `reduced_count` reports it: the walk counts the profiles it visits
-    whose classes other than v* hold at most n floors.  Its class v*,
-    every tracked row's hall omitted, is in no block sum, so it takes
-    the n_max - s floors a smaller n leaves out, and one walk serves
-    every row (see `column_counts.range_sum`); `column_counts._finish`
-    then makes the rows from n_min on.  The guard bounds the walk, the
-    profiles of n_max.  No op counts are kept.
+    `reduced_count` reports it.  That number is a closed form here,
+    since the walk visits only the profiles whose terms are not 0.  Its
+    class v*, every tracked row's hall omitted, is in no block sum, so
+    it takes the n_max - s floors a smaller n leaves out, and one walk
+    serves every row (see `column_counts.range_sum`);
+    `column_counts._finish` then makes the rows from n_min on.  The
+    guard bounds the walk by the profiles of n_max, all of them, though
+    the walk visits fewer.  No op counts are kept.
     """
     k, n_max, n_min = index(k), index(n_max), index(n_min)
     if k < 1:
@@ -200,8 +203,8 @@ def reduced_counts(
         raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
     what = f"reduced counts for k={k}, n={n_min}..{n_max}"
     q = guards.check_sum(k - 1, n_max, n_max, max_terms, what)
-    acc, seen = column_counts.range_sum(q)(n_max)
-    return column_counts._finish(acc, seen, k - 1, n_min)
+    acc = column_counts.range_sum(q)(n_max)
+    return column_counts._finish(acc, n_max, k - 1, n_min)
 
 
 def total_count(

@@ -145,7 +145,8 @@ def _suite_zero_rule(max_k: int) -> SuiteResult:
     # k = 7 already needs ~1.2e8 terms at n = 6; stay under the ceiling
     top = min(max(max_k, 5), 6)
     for k in range(2, top + 1):
-        # one walk for every n < k; its terms are counted, not computed
+        # one walk for every n < k; it visits no zero term, so its terms
+        # are the closed form that `full` is too, and only the values test it
         rows = formulas.reduced_counts(k, k - 1)
         for n in range(1, k):
             value, terms = rows[n]

@@ -8,7 +8,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latinrect.cli import main
+from latinrect import cli
+from latinrect.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latinrect"
 COUNT_KEYS = ["k", "n", "variant", "method", "value", "terms", "adds", "mults", "elapsed_ms"]
@@ -18,6 +19,28 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # a parser costs about a millisecond to build and leaves a tree of
+    # reference cycles behind, so main builds it on its first call only
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        codes = [run(capsys, argv)[0] for argv in (["count", "--k", "3", "--n", "3"],
+                                                    ["frobnicate"],
+                                                    ["table", "--k", "2", "--n", "4"])]
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [0, 1, 0] and len(built) == 1
+    # build_parser itself still makes a fresh parser at every call
+    assert build_parser() is not build_parser()
 
 
 def test_count_json_schema_and_roundtrip(capsys):

@@ -4,10 +4,11 @@ from math import comb, prod
 
 import pytest
 
-from latinrect import column_counts, tallies
+from latinrect import column_counts, profiles, tallies
 from latinrect.column_counts import (
     _config_source,
     _difference,
+    _hall_bounds,
     _kernel,
     _kernel_source,
     _range_source,
@@ -19,6 +20,7 @@ from latinrect.column_counts import (
     range_sum,
     shift_profile,
 )
+from latinrect.formulas import reduced_counts
 from latinrect.guards import ResourceGuardError
 from latinrect.oracle import injective_tuple_count, lonely_hall_count, profile_of
 from latinrect.profiles import compositions, multinomial, sign
@@ -353,13 +355,56 @@ def test_kernel_docstring_shows_the_generated_source():
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 32])
-def test_range_sum_carries_the_direct_sum_weight(q):
-    # no factorial table: each weight line is one that direct_sum steps by
+def test_range_sum_builds_no_factorial_table_and_walks_no_compositions(q, monkeypatch):
+    # the nest carries its weight level by level and never visits a
+    # profile whose term is 0, so it tests no factor and counts nothing
+    n = 3 if q == 32 else 6
     source = _range_source(q)
-    weight = [line.strip() for line in source.splitlines() if line.strip().startswith(("v =", "w ="))]
-    assert "fact" not in source and len(weight) >= q - 1
-    direct = {line.strip() for line in _sum_source(max(q, 2), "derived")[0].splitlines()}
-    assert set(weight) <= direct
+    for word in ("fact", "compositions", "continue", "seen"):
+        assert word not in source, word
+
+    def refuse(*args):
+        raise AssertionError("the nest called a profiles helper")
+
+    monkeypatch.setattr(profiles, "compositions", refuse)
+    monkeypatch.setattr(profiles, "factorial_table", refuse)
+    assert range_sum(q)(n)
+
+
+@pytest.mark.parametrize("k, n", [(2, 12), (3, 14), (4, 10), (5, 5)])
+def test_hall_bounds_admit_exactly_the_profiles_without_a_zero_factor(k, n):
+    # profile by profile over c of n, with c' = c without v* and s = |c'|:
+    # the nest's loop limits hold exactly when no G_v of a nonempty class
+    # v != v* is 0, and its acc sums the terms of exactly those profiles
+    m = k - 1
+    top = (1 << m) - 1
+    bounds = _hall_bounds(m)
+    assert sorted(t for t, _ in bounds) == list(range(1, top))
+    want = {}
+    admitted = 0
+    for c in compositions(n, m):
+        s = n - c[top]
+        factors = [choice_count(shift_profile(c, v)) ** c[v] for v in range(top) if c[v]]
+        within = s == 0 or s > m and all(
+            c[t] <= s - t.bit_count() - 1 - sum(c[u] for u in above) for t, above in bounds)
+        assert within == all(factors), c
+        if within:
+            admitted += 1
+            key = s, choice_count(c)
+            want[key] = want.get(key, 0) + sign(c) * multinomial(c) * prod(factors)
+    assert range_sum(1 << m)(n) == want
+    assert 0 < admitted < comb(n + top, top)
+
+
+@pytest.mark.parametrize("k, n", [(6, 3), (7, 2)])
+def test_range_sum_chains_past_the_nesting_limit(k, n):
+    # 31 and 63 levels: CPython compiles at most 20 nested blocks, so the
+    # nest is a chain of functions; q = 16 already splits, as k = 5 runs
+    q = 1 << (k - 1)
+    assert _range_source(q).count("\ndef ") == (q - 1 + 11) // 12 - 1
+    assert _range_source(16).count("\ndef ") == 1
+    assert list(range_sum(q)(n)) == [(0, 0)]
+    assert reduced_counts(k, n) == [(1, 1), *((0, comb(i + q - 1, i)) for i in range(1, n + 1))]
 
 
 def test_range_sum_docstring_shows_the_generated_source():

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 from math import comb, expm1, factorial, log, log1p, perm
@@ -331,6 +332,18 @@ def test_one_walk_gives_every_row_of_the_per_n_sums(k, n_max):
     # a later first row finishes only the rows asked for, from the same walk
     for n_min in {0, n_max // 2, n_max}:
         assert reduced_counts(k, n_max, n_min=n_min) == want[n_min:], n_min
+
+
+@pytest.mark.parametrize("k, n_max, digest", [
+    (2, 300, "22e69ab1b8256ab3921b756bf44b9c413ace3d3e27b552195ad92dfcff6ee85b"),
+    (3, 60, "14d901d1e9b69c1e597d6b5b1b1cac334d6d12b229aa05a5bc0aeb09a577bfed"),
+    (4, 14, "9f70f4052d2a60f5f5da54e919fd64ff35f26b3a5eba106a7eea97af49a963cd"),
+    (5, 7, "7fbdd8c0356bc768cacafcfedb0171ac367f866a4f90653a986f9735b1a399e2"),
+])
+def test_one_walk_rows_keep_their_digests(k, n_max, digest):
+    # sha256 of repr(rows) from the colex walk over every profile of
+    # n_max, which the Hall-bounded nest must reproduce row for row
+    assert hashlib.sha256(repr(reduced_counts(k, n_max)).encode()).hexdigest() == digest
 
 
 def test_one_walk_refuses_before_it_compiles(monkeypatch):

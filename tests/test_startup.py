@@ -39,6 +39,15 @@ def test_cli_import_loads_no_unneeded_module():
     assert not unneeded
 
 
+def test_cli_import_builds_no_parser():
+    # set-up ends at the import; main builds its parser at the first request
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import latinrect.cli as cli; "
+            "print(cli._parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "0\n"
+
+
 def _run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
