@@ -10,7 +10,9 @@ have each type (which of rows 2..k have placed the symbol, and whether
 its column is still unfilled), up to a relabeling of rows 2..k.
 `lonely_hall_count` counts each column's picks by one recursion and
 multiplies the n column counts, since none of its rules links two
-columns.
+columns.  Both searches are module-level recursions that take their
+tables as arguments: no closure refers to itself or to another, so a
+count leaves no reference cycle for the garbage collector.
 
 Rectangles are sequences of rows of integers in 1..n.  A configuration
 view of a rectangle places one room per (row, column) shaft at floor
@@ -36,8 +38,9 @@ LONELY_HALL_MAX_N = 6
 # the first column.  k=7 needs 92,160 entries (0.09 s to build, 1.7 ms
 # per memo miss; R_7(7) in 3 s); k=8 needs 1,290,240 (1.2 s, 17 ms).
 BRUTE_FORCE_MAX_TABLE = 10**5
-# most pick tuples or tuples an enumeration may count; about 0.2 us each
-# where each is visited, as in `injective_tuple_count`
+# most picks or tuples an enumeration may visit; about 0.2 us each at
+# small n, but a hall-oracle pick works on n-bit masks (about 1.4 us at
+# k=3 n=3162)
 ENUMERATION_MAX = 10**7
 
 
@@ -128,6 +131,13 @@ def brute_force_count(
     symbols already picked in the column; picking from a type with a
     such symbols left multiplies the count by a.
 
+    Three module-level functions recurse into each other: `_fill` looks
+    a state up in the memo, `_extend` fills one column of it and sums
+    over the successor states, and `_cell` picks row by row within that
+    column.  The memo, the relabelings and each row's lacking types are
+    passed down as arguments, so a count builds no closures and leaves
+    no garbage cycles behind.
+
     At k=4 n=7 the memo holds 159 canonical states.
 
     variant="total" scales the reduced count by n! rather than
@@ -175,52 +185,60 @@ def _count_reduced(k: int, n: int) -> int:
     done = [0] * size
     done[pending - 1] = n  # every row has placed every symbol
     memo: dict[tuple[int, ...], int] = {tuple(done): 1}
-
-    def fill(state: tuple[int, ...]) -> int:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        key = min(relabel(state) for relabel in relabelings)
-        cached = memo.get(key)
-        if cached is None:
-            cached = memo[key] = extend(state)
-        memo[state] = cached
-        return cached
-
-    def extend(state: tuple[int, ...]) -> int:
-        # fill the column of some pending symbol of type head; picked
-        # symbols leave counts until the column is done, so no row of this
-        # column can pick them (or the head) again
-        counts = list(state)
-        head = next(t for t in range(pending, size) if counts[t])
-        counts[head] -= 1
-        placed = [head ^ pending]  # the head's column is no longer pending
-        successors: dict[tuple[int, ...], int] = {}
-
-        def cell(i: int, ways: int):
-            if i == m:
-                nxt = counts[:]
-                for t in placed:
-                    nxt[t] += 1
-                nxt = tuple(nxt)
-                successors[nxt] = successors.get(nxt, 0) + ways
-                return
-            bit = 1 << i
-            for t in lacking[i]:
-                a = counts[t]
-                if a:
-                    counts[t] = a - 1
-                    placed.append(t | bit)
-                    cell(i + 1, ways * a)
-                    placed.pop()
-                    counts[t] = a
-
-        cell(0, 1)
-        return sum(ways * fill(nxt) for nxt, ways in successors.items())
-
     initial = [0] * size
     initial[pending] = n  # no row has placed anything; every column pending
-    return fill(tuple(initial))
+    return _fill(tuple(initial), memo, relabelings, lacking)
+
+
+def _fill(state: tuple[int, ...], memo: dict, relabelings: list, lacking: list) -> int:
+    # completions of `state`: the raw state is looked up first, then the
+    # least of its row relabelings, which is computed only on a miss
+    cached = memo.get(state)
+    if cached is not None:
+        return cached
+    key = min(relabel(state) for relabel in relabelings)
+    cached = memo.get(key)
+    if cached is None:
+        cached = memo[key] = _extend(state, memo, relabelings, lacking)
+    memo[state] = cached
+    return cached
+
+
+def _extend(state: tuple[int, ...], memo: dict, relabelings: list, lacking: list) -> int:
+    # fill the column of some pending symbol of type head; picked symbols
+    # leave counts until the column is done, so no row of this column can
+    # pick them (or the head) again
+    pending = len(state) >> 1
+    counts = list(state)
+    head = next(t for t in range(pending, len(state)) if counts[t])
+    counts[head] -= 1
+    placed = [head ^ pending]  # the head's column is no longer pending
+    successors: dict[tuple[int, ...], int] = {}
+    _cell(0, 1, counts, placed, lacking, successors)
+    return sum(
+        ways * _fill(nxt, memo, relabelings, lacking) for nxt, ways in successors.items()
+    )
+
+
+def _cell(i: int, ways: int, counts: list, placed: list, lacking: list, successors: dict):
+    # row i+2 picks a symbol whose type lacks it, in `ways` times as many
+    # ways as the rows before it; a full column adds its successor state
+    if i == len(lacking):
+        nxt = counts[:]
+        for t in placed:
+            nxt[t] += 1
+        nxt = tuple(nxt)
+        successors[nxt] = successors.get(nxt, 0) + ways
+        return
+    bit = 1 << i
+    for t in lacking[i]:
+        a = counts[t]
+        if a:
+            counts[t] = a - 1
+            placed.append(t | bit)
+            _cell(i + 1, ways * a, counts, placed, lacking, successors)
+            placed.pop()
+            counts[t] = a
 
 
 def _normalize_halls(halls, k: int, n: int) -> frozenset[tuple[int, int]]:
@@ -259,9 +277,10 @@ def lonely_hall_count(
     column is one recursion over rows 2..k: a row picks an open floor
     that no earlier row of the column took, and the last row's
     admissible floors are counted with `int.bit_count` rather than
-    visited.  With no hall omitted a column has (n-1) ... (n-k+1) tuples,
-    so n (n-1) ... (n-k+1) picks over all columns; that bound on the
-    work must stay within ENUMERATION_MAX whatever the guard.
+    visited.  With no hall omitted a column visits (n-1) ... (n-k+2)
+    picks of rows 2..k-1, so n (n-1) ... (n-k+2) over all columns (n at
+    k = 1 and 2, one visit per column); that bound on the work must stay
+    within ENUMERATION_MAX whatever the guard.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -271,7 +290,7 @@ def lonely_hall_count(
             f"(guard k<={max_k}, n<={max_n})"
         )
     picks = 1
-    for i in range(k):  # stops once the product is 0 or past the bound
+    for i in range(max(k - 1, 1)):  # stops once the product is 0 or past the bound
         picks *= n - i
         if not 0 < picks <= ENUMERATION_MAX:
             break

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import re
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from latinrect import cli
 from latinrect.cli import build_parser, main
+from latinrect.column_counts import config_count
+from latinrect.oracle import profile_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latinrect"
 COUNT_KEYS = ["k", "n", "variant", "method", "value", "terms", "adds", "mults", "elapsed_ms"]
@@ -379,8 +382,8 @@ def test_oracle_refuses_huge_relabeling_tables_at_once(capsys):
 
 
 def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
-    # n (n-1) ... (n-k+1) picks: 7.98e9 at k=3 n=2000, 12! at k=12 n=12
-    for argv in (["oracle", "--k", "3", "--n", "2000", "--max-n", "2000", "--halls", "2:1"],
+    # n (n-1) ... (n-k+2) picks: 15,996,000 at k=3 n=4000, 12! at k=12 n=12
+    for argv in (["oracle", "--k", "3", "--n", "4000", "--max-n", "4000", "--halls", "2:1"],
                  ["oracle", "--k", "12", "--n", "12", "--max-k", "12", "--max-n", "12",
                   "--halls", "2:1"]):
         start = time.perf_counter()
@@ -389,6 +392,35 @@ def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("latinrect oracle: refused: ") and err.count("\n") == 1, argv
         assert "more than 10000000 picks" in err, argv
+
+
+def test_oracle_counts_hall_enumerations_inside_the_pick_bound(capsys):
+    # k=3 n=500 visits 500 * 499 picks of row 2; row 3's are counted
+    code, out, err = run(capsys, ["oracle", "--k", "3", "--n", "500", "--max-n", "500",
+                                  "--halls", "2:1", "--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["profile"] == [499, 1, 0, 0]
+    assert int(payload["value"]) == config_count(profile_of({(2, 1)}, 3, 500))
+
+
+def test_oracle_requests_leave_no_cyclic_garbage(capsys):
+    # garbage cycles are freed only when the collector next runs, so they
+    # would raise peak memory by whatever piles up in between
+    requests = (["count", "--k", "4", "--n", "6", "--method", "oracle"],
+                ["table", "--k", "4", "--n", "0..7", "--method", "oracle"],
+                ["selftest"])
+    for argv in requests:
+        run(capsys, argv)  # warm-up: the parser and any lazy tables
+        gc.collect()
+        gc.disable()
+        try:
+            code = run(capsys, argv)[0]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0, argv
+        assert garbage == 0, argv
 
 
 def test_hall_profile_is_sized_before_it_is_built(capsys):

@@ -288,11 +288,12 @@ def test_lonely_hall_guard_and_validation():
 
 
 def test_lonely_hall_pick_bound_is_exact(monkeypatch):
-    # k=4 n=7 enumerates 6*5*4 = 120 picks in each of its 7 columns
-    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 840)
+    # k=4 n=7 visits 6*5 = 30 picks of rows 2..3 in each of its 7 columns
+    # and counts row 4's 4 floors after each, 120 tuples per column
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 210)
     assert lonely_hall_count(4, 7, max_k=4, max_n=7) == 120**7
-    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 839)
-    with pytest.raises(ResourceGuardError, match="more than 839 picks"):
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 209)
+    with pytest.raises(ResourceGuardError, match="more than 209 picks"):
         lonely_hall_count(4, 7, max_k=4, max_n=7)
 
 
