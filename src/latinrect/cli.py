@@ -228,7 +228,9 @@ def _cmd_oracle(args):
         if args.total:
             raise ValueError("--halls counts reduced configurations; drop --total")
         halls = args.halls
-        value = oracle.lonely_hall_count(args.k, args.n, halls, **guard)
+        # refused before counting if the value may be too long to print
+        max_digits = sys.get_int_max_str_digits()
+        value = oracle.lonely_hall_count(args.k, args.n, halls, max_digits=max_digits, **guard)
         profile = oracle.profile_of(halls, args.k, args.n)
         if args.format == "json":
             payload = {

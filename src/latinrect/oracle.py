@@ -23,7 +23,7 @@ of halls forced empty, never including the back row (row 1).
 """
 
 import itertools
-from math import factorial, prod
+from math import factorial, log10, prod
 from operator import itemgetter
 
 from .guards import ResourceGuardError
@@ -38,9 +38,9 @@ LONELY_HALL_MAX_N = 6
 # the first column.  k=7 needs 92,160 entries (0.09 s to build, 1.7 ms
 # per memo miss; R_7(7) in 3 s); k=8 needs 1,290,240 (1.2 s, 17 ms).
 BRUTE_FORCE_MAX_TABLE = 10**5
-# most picks or tuples an enumeration may visit; about 0.2 us each at
-# small n, but a hall-oracle pick works on n-bit masks (about 1.4 us at
-# k=3 n=3162)
+# most picks or tuples an enumeration may visit, about 0.2-0.5 us each
+# at small n; a hall-oracle pick works on n-bit masks, so it counts once
+# per 64-bit word of the mask (k=3 n=845 in 0.35 s, k=5 n=57 in 4.4 s)
 ENUMERATION_MAX = 10**7
 
 
@@ -259,6 +259,7 @@ def lonely_hall_count(
     *,
     max_k: int = LONELY_HALL_MAX_K,
     max_n: int = LONELY_HALL_MAX_N,
+    max_digits: int = 0,
 ) -> int:
     """Count reduced configurations avoiding every hall in `halls`.
 
@@ -279,8 +280,14 @@ def lonely_hall_count(
     admissible floors are counted with `int.bit_count` rather than
     visited.  With no hall omitted a column visits (n-1) ... (n-k+2)
     picks of rows 2..k-1, so n (n-1) ... (n-k+2) over all columns (n at
-    k = 1 and 2, one visit per column); that bound on the work must stay
-    within ENUMERATION_MAX whatever the guard.
+    k = 1 and 2, one visit per column).  Each pick works on n-bit floor
+    masks, so the work is that count times the ceil(n/64) words of a
+    mask, and it must stay within ENUMERATION_MAX whatever the guard.
+
+    A nonzero `max_digits` (as `sys.get_int_max_str_digits()` gives)
+    refuses, before any column is counted, a count that may have more
+    decimal digits: no column admits more than (n-1) ... (n-k+1) pick
+    tuples, so the count has at most n log10 of that many.
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
@@ -289,7 +296,8 @@ def lonely_hall_count(
             f"configuration enumeration refused at k={k}, n={n} "
             f"(guard k<={max_k}, n<={max_n})"
         )
-    picks = 1
+    words = -(-n // 64)
+    picks = words
     for i in range(max(k - 1, 1)):  # stops once the product is 0 or past the bound
         picks *= n - i
         if not 0 < picks <= ENUMERATION_MAX:
@@ -297,8 +305,18 @@ def lonely_hall_count(
     if picks > ENUMERATION_MAX:
         raise ResourceGuardError(
             f"configuration enumeration refused at k={k}, n={n}: "
-            f"more than {ENUMERATION_MAX} picks"
+            f"more than {ENUMERATION_MAX} picks (each counted once per word "
+            f"of its {words}-word floor mask)"
         )
+    if max_digits and k <= n:  # past n rows no column admits a tuple, and the count is 0
+        digits = 0.0
+        for i in range(1, k):  # k <= 24: the pick bound's k - 1 factors are 2 or more
+            digits += n * log10(n - i)
+            if digits >= max_digits:
+                raise ResourceGuardError(
+                    f"configuration count refused at k={k}, n={n}: "
+                    f"it may pass {max_digits} decimal digits"
+                )
     halls = _normalize_halls(halls, k, n)
     full = (1 << n) - 1
     blocked = {}  # row -> floors its halls omit; nothing here grows with k

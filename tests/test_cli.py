@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -382,9 +383,13 @@ def test_oracle_refuses_huge_relabeling_tables_at_once(capsys):
 
 
 def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
-    # n (n-1) ... (n-k+2) picks: 15,996,000 at k=3 n=4000, 12! at k=12 n=12
-    for argv in (["oracle", "--k", "3", "--n", "4000", "--max-n", "4000", "--halls", "2:1"],
+    # n (n-1) ... (n-k+2) picks, each once per 64-bit word of an n-bit mask:
+    # 15,984,000 at k=3 n=1000 (16 words), 12! at k=12 n=12 and
+    # 1.6e12 at k=2 n=10^7, where a pick alone is cheap but its mask is not
+    for argv in (["oracle", "--k", "3", "--n", "1000", "--max-n", "1000", "--halls", "2:1"],
                  ["oracle", "--k", "12", "--n", "12", "--max-k", "12", "--max-n", "12",
+                  "--halls", "2:1"],
+                 ["oracle", "--k", "2", "--n", "10000000", "--max-n", "10000000",
                   "--halls", "2:1"]):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
@@ -402,6 +407,24 @@ def test_oracle_counts_hall_enumerations_inside_the_pick_bound(capsys):
     payload = json.loads(out)
     assert payload["profile"] == [499, 1, 0, 0]
     assert int(payload["value"]) == config_count(profile_of({(2, 1)}, 3, 500))
+
+
+def test_oracle_refuses_hall_counts_too_long_to_print_at_once(capsys):
+    # at most 1500 log10(1499) = 4763 and 3000 log10(2999) = 10431 digits,
+    # past the interpreter's default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for n in ("1500", "3000"):
+            argv = ["oracle", "--k", "2", "--n", n, "--max-n", n, "--halls", "2:1"]
+            start = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 2 and out == "", argv
+            assert err == ("latinrect oracle: refused: configuration count refused at "
+                           f"k=2, n={n}: it may pass 4300 decimal digits\n"), argv
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_oracle_requests_leave_no_cyclic_garbage(capsys):

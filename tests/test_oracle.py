@@ -295,6 +295,21 @@ def test_lonely_hall_pick_bound_is_exact(monkeypatch):
     monkeypatch.setattr(oracle, "ENUMERATION_MAX", 209)
     with pytest.raises(ResourceGuardError, match="more than 209 picks"):
         lonely_hall_count(4, 7, max_k=4, max_n=7)
+    # a pick counts once per word of its floor mask: 2 words at n=65,
+    # so 2 * 65 * 64 picks of row 2 at k=3
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 8320)
+    assert lonely_hall_count(3, 65, max_n=65) == (64 * 63) ** 65
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 8319)
+    with pytest.raises(ResourceGuardError, match="more than 8319 picks"):
+        lonely_hall_count(3, 65, max_n=65)
+
+
+def test_lonely_hall_digit_bound_is_exact():
+    # with no hall, k=2 n=11 is 10^11, 12 digits; the bound 11 log10(10) is exact
+    assert lonely_hall_count(2, 11, max_n=11, max_digits=12) == 10**11
+    with pytest.raises(ResourceGuardError, match="may pass 11 decimal digits"):
+        lonely_hall_count(2, 11, max_n=11, max_digits=11)
+    assert lonely_hall_count(4, 3, max_k=4, max_digits=1) == 0  # k > n: no column fits
 
 
 def test_lonely_hall_dominates_latin_count():
