@@ -3,7 +3,7 @@
 Commands: count, expr, table, bench, oracle, selftest.  Machine formats
 serialize every count as a decimal string, since values overflow 64-bit
 integers almost immediately.  Exit codes: 0 success, 1 usage error,
-2 resource guard refusal, 3 self-test mismatch.
+2 resource guard refusal or out of memory, 3 self-test mismatch.
 """
 
 import argparse
@@ -144,8 +144,6 @@ def _check_range(args) -> None:
 def _cmd_count(args):
     method = args.method
     total_only = method in ("direct-L", "factorial-bridge")
-    if args.reduced and total_only:
-        raise ValueError(f"--method {method} computes totals; drop --reduced")
     if args.bracket == "literal" and method != "direct-L":
         raise ValueError(f"--bracket literal applies to --method direct-L only, not {method}")
     variant = "total" if (args.total or total_only) else "reduced"
@@ -183,7 +181,7 @@ def _cmd_table(args):
     if args.method == "oracle":
         column = [oracle.brute_force_count(args.k, n) for n in range(lo, hi + 1)]
     else:
-        # one walk serves every row, on one thread whatever --threads is
+        # one walk serves every row
         _check_range(args)
         column = [value for value, _ in formulas.reduced_counts(
             args.k, hi, n_min=lo, max_terms=args.max_terms)]
@@ -208,8 +206,6 @@ def _cmd_table(args):
 
 
 def _cmd_bench(args):
-    if args.csv and args.format == "json":
-        raise ValueError("--csv writes CSV; drop --format json or use --out")
     _check_range(args)
     lo, hi = args.n
     sw = bench.sweep(args.k, range(lo, hi + 1), max_terms=args.max_terms)
@@ -219,18 +215,15 @@ def _cmd_bench(args):
 
 def _cmd_oracle(args):
     variant = "total" if args.total else "reduced"
-    guard = {}
-    if args.max_k is not None:
-        guard["max_k"] = args.max_k
-    if args.max_n is not None:
-        guard["max_n"] = args.max_n
     if args.halls is not None:
         if args.total:
             raise ValueError("--halls counts reduced configurations; drop --total")
+        if args.max_k or args.max_n:  # positive when given
+            raise ValueError("--halls has no k or n guard; drop --max-k and --max-n")
         halls = args.halls
         # refused before counting if the value may be too long to print
         max_digits = sys.get_int_max_str_digits()
-        value = oracle.lonely_hall_count(args.k, args.n, halls, max_digits=max_digits, **guard)
+        value = oracle.lonely_hall_count(args.k, args.n, halls, max_digits=max_digits)
         profile = oracle.profile_of(halls, args.k, args.n)
         if args.format == "json":
             payload = {
@@ -243,7 +236,10 @@ def _cmd_oracle(args):
             return _json_line(payload), None
         text = f"configurations omitting {sorted(set(halls))}: {value}\nprofile={profile}\n"
         return text, None
-    value = oracle.brute_force_count(args.k, args.n, variant, **guard)
+    value = oracle.brute_force_count(
+        args.k, args.n, variant, max_k=args.max_k or oracle.BRUTE_FORCE_MAX_K,
+        max_n=args.max_n or oracle.BRUTE_FORCE_MAX_N,
+    )
     if args.format == "json":
         payload = {
             "k": args.k,
@@ -297,9 +293,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count", help="count k-by-n Latin rectangles")
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--n", type=_parse_single, required=True)
-    group = p_count.add_mutually_exclusive_group()
-    group.add_argument("--reduced", action="store_true", help="count reduced rectangles (default)")
-    group.add_argument("--total", action="store_true")
+    p_count.add_argument("--total", action="store_true")
     p_count.add_argument(
         "--method",
         choices=["formula", "oracle", "factorial-bridge", "direct-L"],
@@ -322,7 +316,6 @@ def build_parser() -> _Parser:
     p_table.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
     p_table.add_argument("--method", choices=["formula", "oracle"], default="formula")
     p_table.add_argument("--max-terms", type=_parse_positive, default=None)
-    p_table.add_argument("--threads", type=_parse_positive, default=_default_threads())
     add_common(p_table, ["human", "json", "csv"], "human")
     p_table.set_defaults(fn=_cmd_table)
 
@@ -330,18 +323,13 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--k", type=int, required=True)
     p_bench.add_argument("--n", type=_parse_range, required=True, metavar="N|A..B")
     p_bench.add_argument("--max-terms", type=_parse_positive, default=None)
-    p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
-    target = p_bench.add_mutually_exclusive_group()
-    target.add_argument("--out", metavar="PATH", default=None)
-    target.add_argument("--csv", metavar="PATH", default=None, help="write CSV to PATH")
+    add_common(p_bench, ["csv", "json"], "csv")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_oracle = sub.add_parser("oracle", help="brute-force counts and hall-set probes")
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--n", type=_parse_single, required=True)
-    group = p_oracle.add_mutually_exclusive_group()
-    group.add_argument("--reduced", action="store_true", help="count reduced rectangles (default)")
-    group.add_argument("--total", action="store_true")
+    p_oracle.add_argument("--total", action="store_true")
     p_oracle.add_argument(
         "--halls",
         type=_parse_halls,
@@ -351,7 +339,7 @@ def build_parser() -> _Parser:
     )
     for flag in ("--max-k", "--max-n"):
         p_oracle.add_argument(
-            flag, type=_parse_positive, default=None, help="raise the search guard"
+            flag, type=_parse_positive, default=None, help="raise the brute-force guard"
         )
     add_common(p_oracle, ["human", "json"], "human")
     p_oracle.set_defaults(fn=_cmd_oracle)
@@ -383,9 +371,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         prog = f"{prog} {args.command}"
         text, mismatch = args.fn(args)
-        _emit(text, args.out or getattr(args, "csv", None))  # bench's --csv is its --out
-    except (guards.ResourceGuardError, OverflowError) as exc:  # e.g. n! past sys.maxsize
-        print(f"{prog}: refused: {exc}", file=sys.stderr)
+        _emit(text, args.out)
+    # OverflowError: e.g. n! past sys.maxsize; MemoryError: a table no guard sizes yet
+    except (guards.ResourceGuardError, OverflowError, MemoryError) as exc:
+        print(f"{prog}: refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a UsageError names the parser that raised it
         print(f"{getattr(exc, 'prog', prog)}: error: {exc}", file=sys.stderr)

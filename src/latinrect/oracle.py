@@ -32,8 +32,6 @@ Rows = tuple[tuple[int, ...], ...]
 
 BRUTE_FORCE_MAX_K = 4
 BRUTE_FORCE_MAX_N = 7
-LONELY_HALL_MAX_K = 3
-LONELY_HALL_MAX_N = 6
 # The memo's (k-1)! row relabelings of 2^k-entry tables are built before
 # the first column.  k=7 needs 92,160 entries (0.09 s to build, 1.7 ms
 # per memo miss; R_7(7) in 3 s); k=8 needs 1,290,240 (1.2 s, 17 ms).
@@ -257,8 +255,6 @@ def lonely_hall_count(
     n: int,
     halls=(),
     *,
-    max_k: int = LONELY_HALL_MAX_K,
-    max_n: int = LONELY_HALL_MAX_N,
     max_digits: int = 0,
 ) -> int:
     """Count reduced configurations avoiding every hall in `halls`.
@@ -282,7 +278,8 @@ def lonely_hall_count(
     picks of rows 2..k-1, so n (n-1) ... (n-k+2) over all columns (n at
     k = 1 and 2, one visit per column).  Each pick works on n-bit floor
     masks, so the work is that count times the ceil(n/64) words of a
-    mask, and it must stay within ENUMERATION_MAX whatever the guard.
+    mask, and it must stay within ENUMERATION_MAX: that bound sizes the
+    work of any k and n, so no separate cap on k or n is needed.
 
     A nonzero `max_digits` (as `sys.get_int_max_str_digits()` gives)
     refuses, before any column is counted, a count that may have more
@@ -291,11 +288,6 @@ def lonely_hall_count(
     """
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    if k > max_k or n > max_n:
-        raise ResourceGuardError(
-            f"configuration enumeration refused at k={k}, n={n} "
-            f"(guard k<={max_k}, n<={max_n})"
-        )
     words = -(-n // 64)
     picks = words
     for i in range(max(k - 1, 1)):  # stops once the product is 0 or past the bound

@@ -14,6 +14,12 @@ from .guards import composition_count
 DEFAULT_MAX_K = 3
 DEFAULT_MAX_N = 4
 RANDOM_HALL_SAMPLES = 25
+# depth caps of the hall-oracle suites: exhaustive hall sets number
+# 2^((k-1)n), so only k <= 3 stays a self test, and the sampled sets
+# cover rows 2 and 3 only; n <= 6 keeps the sampled and closed-form
+# checks to a few hundred hall-oracle counts per run
+HALL_MAX_K = 3
+HALL_MAX_N = 6
 _SEED = 812851200
 
 
@@ -93,7 +99,6 @@ def _suite_config_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
     test around n = 5 and larger n fall back to seeded random hall sets.
     """
     suite = SuiteResult("profile-count-vs-hall-oracle")
-    max_k = min(max_k, oracle.LONELY_HALL_MAX_K)
     exhaustive_n = min(max_n, 4)
     for n in range(1, exhaustive_n + 1):
         for k in range(2, max_k + 1):
@@ -108,7 +113,7 @@ def _suite_config_vs_oracle(max_k: int, max_n: int) -> SuiteResult:
         import random  # only the sampled hall sets need it
 
         rng = random.Random(_SEED)
-        top = min(max(max_n + 1, 5), oracle.LONELY_HALL_MAX_N)
+        top = min(max(max_n + 1, 5), HALL_MAX_N)
         for n in range(exhaustive_n + 1, top + 1):
             universe = [(row, floor) for row in (2, 3) for floor in range(1, n + 1)]
             for _ in range(RANDOM_HALL_SAMPLES):
@@ -164,7 +169,7 @@ def _suite_closed_forms(max_n: int) -> SuiteResult:
     The probe's verdict is one of the suite's notes.
     """
     suite = SuiteResult("two-row-closed-forms")
-    top = min(max(max_n, 5), oracle.LONELY_HALL_MAX_N)
+    top = min(max(max_n, 5), HALL_MAX_N)
     for n in range(1, top + 1):
         empty = oracle.lonely_hall_count(2, n)
         suite.record(
@@ -207,7 +212,7 @@ def run_selftest(*, max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> S
     runs = (
         lambda: _suite_derangements(max(max_n, 6)),
         lambda: _suite_formula_vs_oracle(min(max_k + 1, 4), max_n),
-        lambda: _suite_config_vs_oracle(min(max_k, 3), max_n),
+        lambda: _suite_config_vs_oracle(min(max_k, HALL_MAX_K), max_n),
         lambda: _suite_bracket_variants(max_n),
         lambda: _suite_zero_rule(max_k),
         lambda: _suite_closed_forms(max_n),

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -45,6 +46,37 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     assert codes == [0, 1, 0] and len(built) == 1
     # build_parser itself still makes a fresh parser at every call
     assert build_parser() is not build_parser()
+
+
+def test_every_command_takes_exactly_its_pinned_options():
+    # a switch is added or removed together with this list, so none
+    # stays behind that selects nothing
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    help_flags = {"-h", "--help"}
+    options = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - help_flags
+        for name, parser in commands.choices.items()
+    }
+    assert options == {
+        "count": {"--k", "--n", "--total", "--method", "--bracket", "--max-terms", "--threads",
+                  "--format", "--out"},
+        "expr": {"--k", "--format", "--out"},
+        "table": {"--k", "--n", "--method", "--max-terms", "--format", "--out"},
+        "bench": {"--k", "--n", "--max-terms", "--format", "--out"},
+        "oracle": {"--k", "--n", "--total", "--halls", "--max-k", "--max-n", "--format", "--out"},
+        "selftest": {"--k", "--n", "--format", "--out"},
+    }
+
+
+def test_out_of_memory_is_a_refusal(capsys, monkeypatch):
+    # a table no guard sizes yet may still exhaust memory; that ends in
+    # one line and exit 2, like a guard's refusal, not in a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.formulas, "reduced_count", exhausted)
+    code, out, err = run(capsys, ["count", "--k", "2", "--n", "5"])
+    assert (code, out, err) == (2, "", "latinrect count: refused: out of memory\n")
 
 
 def test_count_json_schema_and_roundtrip(capsys):
@@ -119,7 +151,6 @@ def test_count_values_are_decimal_strings_beyond_word_size(capsys):
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, ["count", "--k", "3"])[0] == 1  # missing --n
     assert run(capsys, ["count", "--k", "3", "--n", "2..4"])[0] == 1
-    assert run(capsys, ["count", "--k", "3", "--n", "3", "--method", "direct-L", "--reduced"])[0] == 1
     code, out, err = run(capsys, ["frobnicate"])
     assert code == 1 and out == ""
     # no command parsed, so the message names the program alone
@@ -140,10 +171,6 @@ def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
          "argument --n: this command takes a single n, not a range ('2..3')"),
         (["bench", "--k", "2", "--n", "x"],
          "argument --n: bad value 'x'; expected an integer or a..b"),
-        (["bench", "--k", "2", "--n", "3..4", "--csv", str(tmp_path / "x"), "--format", "json"],
-         "--csv writes CSV; drop --format json or use --out"),
-        (["count", "--k", "3", "--n", "3", "--method", "direct-L", "--reduced"],
-         "--method direct-L computes totals; drop --reduced"),
         (["count", "--k", "2", "--n", "5", "--bracket", "literal"],
          "--bracket literal applies to --method direct-L only, not formula"),
         (["count", "--k", "3", "--n", "5", "--method", "oracle", "--bracket", "literal"],
@@ -154,6 +181,8 @@ def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
          "argument --halls: bad hall '2x'; expected row:floor"),
         (["oracle", "--k", "3", "--n", "4", "--halls", "2:1", "--total"],
          "--halls counts reduced configurations; drop --total"),
+        (["oracle", "--k", "3", "--n", "4", "--halls", "2:1", "--max-k", "5"],
+         "--halls has no k or n guard; drop --max-k and --max-n"),
         (["expr", "--k", "1"],
          "the reduced count for k = 1 is the constant 1; expressions start at k = 2"),
         (["count", "--k", "0", "--n", "3"], "need k >= 1"),
@@ -168,7 +197,6 @@ def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
         assert code == 1, argv
         assert out == ""
         assert err == f"latinrect {argv[0]}: error: {message}\n"
-    assert not (tmp_path / "x").exists()
 
 
 def test_guard_exits_two(capsys):
@@ -222,12 +250,10 @@ def test_out_file_equals_stdout(tmp_path, capsys):
     for i, argv in enumerate(requests):
         code, out, err = run(capsys, argv)
         assert code == 0 and err == "" and out, argv
-        targets = ["--out"] + (["--csv"] if argv[0] == "bench" and "json" not in argv else [])
-        for flag in targets:
-            target = tmp_path / f"{i}{flag}"
-            code, file_out, err = run(capsys, argv + [flag, str(target)])
-            assert (code, file_out, err) == (0, "", ""), argv + [flag]
-            assert _mask_elapsed(target.read_text()) == _mask_elapsed(out), argv + [flag]
+        target = tmp_path / str(i)
+        code, file_out, err = run(capsys, argv + ["--out", str(target)])
+        assert (code, file_out, err) == (0, "", ""), argv
+        assert _mask_elapsed(target.read_text()) == _mask_elapsed(out), argv
 
 
 def test_range_refusals_are_immediate(capsys):
@@ -294,24 +320,13 @@ def test_expr_output_is_deterministic(capsys):
 
 def test_bench_csv_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
-    code, out, _ = run(capsys, ["bench", "--k", "3", "--n", "8..12", "--csv", str(target)])
+    code, out, _ = run(capsys, ["bench", "--k", "3", "--n", "8..12", "--out", str(target)])
     assert code == 0
     assert out == ""
     content = target.read_text()
     lines = content.splitlines()
     assert lines[0].startswith("k,n,terms")
     assert any(line.startswith("# fitted_exponent_mults_paper_model=") for line in lines)
-
-
-def test_bench_csv_and_out_are_exclusive(tmp_path, capsys):
-    csv_path, out_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    code, out, err = run(
-        capsys, ["bench", "--k", "2", "--n", "3..4", "--csv", str(csv_path), "--out", str(out_path)]
-    )
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("latinrect bench: error: ")
-    assert not csv_path.exists() and not out_path.exists()
 
 
 def test_bench_json_lines(capsys):
@@ -353,7 +368,7 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     for target in (tmp_path / "missing" / "x", tmp_path):
         for argv in (
             ["count", "--k", "2", "--n", "3", "--out", str(target)],
-            ["bench", "--k", "2", "--n", "3..4", "--csv", str(target)],
+            ["bench", "--k", "2", "--n", "3..4", "--out", str(target)],
         ):
             code, out, err = run(capsys, argv)
             assert code == 1, argv
@@ -386,11 +401,9 @@ def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
     # n (n-1) ... (n-k+2) picks, each once per 64-bit word of an n-bit mask:
     # 15,984,000 at k=3 n=1000 (16 words), 12! at k=12 n=12 and
     # 1.6e12 at k=2 n=10^7, where a pick alone is cheap but its mask is not
-    for argv in (["oracle", "--k", "3", "--n", "1000", "--max-n", "1000", "--halls", "2:1"],
-                 ["oracle", "--k", "12", "--n", "12", "--max-k", "12", "--max-n", "12",
-                  "--halls", "2:1"],
-                 ["oracle", "--k", "2", "--n", "10000000", "--max-n", "10000000",
-                  "--halls", "2:1"]):
+    for argv in (["oracle", "--k", "3", "--n", "1000", "--halls", "2:1"],
+                 ["oracle", "--k", "12", "--n", "12", "--halls", "2:1"],
+                 ["oracle", "--k", "2", "--n", "10000000", "--halls", "2:1"]):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 1.0, argv
@@ -401,8 +414,8 @@ def test_oracle_refuses_hall_enumerations_past_the_pick_bound_at_once(capsys):
 
 def test_oracle_counts_hall_enumerations_inside_the_pick_bound(capsys):
     # k=3 n=500 visits 500 * 499 picks of row 2; row 3's are counted
-    code, out, err = run(capsys, ["oracle", "--k", "3", "--n", "500", "--max-n", "500",
-                                  "--halls", "2:1", "--format", "json"])
+    code, out, err = run(capsys, ["oracle", "--k", "3", "--n", "500", "--halls", "2:1",
+                                  "--format", "json"])
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["profile"] == [499, 1, 0, 0]
@@ -416,7 +429,7 @@ def test_oracle_refuses_hall_counts_too_long_to_print_at_once(capsys):
     sys.set_int_max_str_digits(4300)
     try:
         for n in ("1500", "3000"):
-            argv = ["oracle", "--k", "2", "--n", n, "--max-n", n, "--halls", "2:1"]
+            argv = ["oracle", "--k", "2", "--n", n, "--halls", "2:1"]
             start = time.perf_counter()
             code, out, err = run(capsys, argv)
             assert time.perf_counter() - start < 1.0, argv
@@ -449,15 +462,15 @@ def test_oracle_requests_leave_no_cyclic_garbage(capsys):
 def test_hall_profile_is_sized_before_it_is_built(capsys):
     # 2^39 entries once ran out of memory; a k + 1 entry list once overflowed
     huge = "1" + "0" * 20
-    for argv in (["oracle", "--k", "40", "--n", "1", "--max-k", "40", "--halls", "2:1"],
-                 ["oracle", "--k", huge, "--n", "1", "--max-k", huge, "--halls", ""]):
+    for argv in (["oracle", "--k", "40", "--n", "1", "--halls", "2:1"],
+                 ["oracle", "--k", huge, "--n", "1", "--halls", ""]):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "", argv
         assert err.startswith("latinrect oracle: refused: profile refused at k=") and err.count("\n") == 1
-    code, out, _ = run(capsys, ["oracle", "--k", "12", "--n", "1", "--max-k", "12",
-                                "--halls", "2:1", "--format", "json"])
+    code, out, _ = run(capsys, ["oracle", "--k", "12", "--n", "1", "--halls", "2:1",
+                                "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "0"
@@ -538,18 +551,18 @@ def test_largest_expansions_still_count(capsys):
 
 
 def test_threads_below_one_or_not_an_integer_exit_one(capsys):
-    for command in ("count", "table"):
-        for threads in ("0", "-3", "x"):
-            argv = [command, "--k", "3", "--n", "4", "--threads", threads]
-            code, out, err = run(capsys, argv)
-            assert code == 1, argv
-            assert out == "" and "threads" in err, argv
+    for threads in ("0", "-3", "x"):
+        argv = ["count", "--k", "3", "--n", "4", "--threads", threads]
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == "" and "threads" in err, argv
 
 
 def test_threads_below_one_exit_one_for_every_method(capsys):
     # the oracle never starts the pool, yet rejects the same values
     for argv in (["count", "--k", "3", "--n", "4", "--method", "oracle", "--threads", "0"],
-                 ["table", "--k", "3", "--n", "4", "--method", "oracle", "--threads", "-3"],
+                 ["count", "--k", "3", "--n", "4", "--method", "factorial-bridge",
+                  "--threads", "-3"],
                  ["count", "--k", "2", "--n", "4", "--method", "direct-L", "--threads", "0"]):
         code, out, err = run(capsys, argv)
         assert code == 1, argv
@@ -586,16 +599,13 @@ def test_direct_l_sums_on_one_thread_at_any_threads(capsys, monkeypatch):
     assert payloads[0]["value"] == "15321600"
 
 
-def test_formula_table_sums_on_one_thread_at_any_threads(capsys, monkeypatch):
-    # one walk serves every row of a formula table, so --threads starts no pool
+def test_formula_table_starts_no_thread_pool(capsys, monkeypatch):
+    # one walk serves every row of a formula table, so it has no --threads
     def no_pool(*args, **kwargs):
         raise AssertionError("a formula table started a thread pool")
 
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-    outputs = [run(capsys, ["table", "--k", "4", "--n", "3..8", "--threads", threads])
-               for threads in ("1", "2")]
-    assert outputs[0] == outputs[1]
-    code, out, err = outputs[0]
+    code, out, err = run(capsys, ["table", "--k", "4", "--n", "3..8"])
     assert code == 0 and err == ""
     assert out.splitlines()[4].split()[:2] == ["6", "393120"]
 
@@ -677,8 +687,6 @@ def test_fuzzed_threads_exits_zero_or_one(text):
     # k <= 3 and n <= 4 keep every accepted request to one pool chunk
     argvs = [["count", "--k", "3", "--n", "4", "--method", method, "--threads", text]
              for method in ("formula", "oracle", "direct-L")]
-    argvs += [["table", "--k", "3", "--n", "3..4", "--method", method, "--threads", text]
-              for method in ("formula", "oracle")]
     threads = _as_int(text)
     for argv in argvs:
         code = _exit_code(argv)

@@ -206,12 +206,12 @@ def test_config_count_agrees_with_hall_oracle_spot():
 
 @pytest.mark.parametrize("k,n", [(4, n) for n in (5, 6, 7)] + [(3, n) for n in range(7, 11)])
 def test_config_count_agrees_with_hall_oracle_past_its_guard(k, n):
-    # the oracle's cost grows linearly in n, so its guard can be raised
+    # past selftest's depth caps; the oracle's cost grows linearly in n
     rng = random.Random(100 * k + n)
     universe = [(row, floor) for row in range(2, k + 1) for floor in range(1, n + 1)]
     for _ in range(20):
         halls = [h for h in universe if rng.random() < 0.5]
-        want = lonely_hall_count(k, n, halls, max_k=k, max_n=n)
+        want = lonely_hall_count(k, n, halls)
         assert config_count(profile_of(halls, k, n)) == want, sorted(halls)
 
 

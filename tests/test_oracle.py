@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import latinrect.oracle as oracle
+from latinrect.column_counts import config_count
 from latinrect.formulas import reduced_count
 from latinrect.guards import ResourceGuardError
 from latinrect.oracle import (
@@ -250,7 +251,7 @@ def definition_counts(k, n):
 @pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in range(4)] + [(2, 4), (3, 4)])
 def test_lonely_hall_matches_its_definition_on_every_hall_set(k, n):
     for halls, want in definition_counts(k, n).items():
-        assert lonely_hall_count(k, n, halls, max_k=4) == want, sorted(halls)
+        assert lonely_hall_count(k, n, halls) == want, sorted(halls)
 
 
 def test_lonely_hall_examples():
@@ -277,10 +278,11 @@ def test_lonely_hall_matches_every_configuration_on_random_hall_sets(n):
 
 
 def test_lonely_hall_guard_and_validation():
+    # the pick bound is the only guard on k and n
+    assert lonely_hall_count(4, 3) == 0
+    assert lonely_hall_count(2, 7) == 6**7
     with pytest.raises(ResourceGuardError):
-        lonely_hall_count(4, 3)
-    with pytest.raises(ResourceGuardError):
-        lonely_hall_count(2, 7)
+        lonely_hall_count(3, 1000)
     with pytest.raises(ValueError):
         lonely_hall_count(2, 3, {(1, 1)})  # back halls never omitted
     with pytest.raises(ValueError):
@@ -291,25 +293,43 @@ def test_lonely_hall_pick_bound_is_exact(monkeypatch):
     # k=4 n=7 visits 6*5 = 30 picks of rows 2..3 in each of its 7 columns
     # and counts row 4's 4 floors after each, 120 tuples per column
     monkeypatch.setattr(oracle, "ENUMERATION_MAX", 210)
-    assert lonely_hall_count(4, 7, max_k=4, max_n=7) == 120**7
+    assert lonely_hall_count(4, 7) == 120**7
     monkeypatch.setattr(oracle, "ENUMERATION_MAX", 209)
     with pytest.raises(ResourceGuardError, match="more than 209 picks"):
-        lonely_hall_count(4, 7, max_k=4, max_n=7)
+        lonely_hall_count(4, 7)
     # a pick counts once per word of its floor mask: 2 words at n=65,
     # so 2 * 65 * 64 picks of row 2 at k=3
     monkeypatch.setattr(oracle, "ENUMERATION_MAX", 8320)
-    assert lonely_hall_count(3, 65, max_n=65) == (64 * 63) ** 65
+    assert lonely_hall_count(3, 65) == (64 * 63) ** 65
     monkeypatch.setattr(oracle, "ENUMERATION_MAX", 8319)
     with pytest.raises(ResourceGuardError, match="more than 8319 picks"):
-        lonely_hall_count(3, 65, max_n=65)
+        lonely_hall_count(3, 65)
+    # the largest n the default bound admits at k = 6..9, e.g. 27 * 26 *
+    # 25 * 24 * 23 = 9,687,600 picks at k=6; no column is counted here
+    monkeypatch.setattr(oracle, "ENUMERATION_MAX", 10**7)
+    monkeypatch.setattr(oracle, "_column_count", lambda *args: 1)
+    for k, n in ((6, 27), (7, 17), (8, 13), (9, 11)):
+        assert lonely_hall_count(k, n, {(2, 1)}) == 1, (k, n)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="more than 10000000 picks"):
+            lonely_hall_count(k, n + 1, {(2, 1)})
+        assert time.perf_counter() - start < 1.0, (k, n + 1)
+
+
+def test_lonely_hall_counts_six_rows_without_a_guard():
+    # 10 * 9 * 8 * 7 * 6 = 30,240 picks; no k or n cap stands in the way
+    rng = random.Random(610)
+    universe = [(row, floor) for row in range(2, 7) for floor in range(1, 11)]
+    halls = [h for h in universe if rng.random() < 0.3]
+    assert lonely_hall_count(6, 10, halls) == config_count(profile_of(halls, 6, 10))
 
 
 def test_lonely_hall_digit_bound_is_exact():
     # with no hall, k=2 n=11 is 10^11, 12 digits; the bound 11 log10(10) is exact
-    assert lonely_hall_count(2, 11, max_n=11, max_digits=12) == 10**11
+    assert lonely_hall_count(2, 11, max_digits=12) == 10**11
     with pytest.raises(ResourceGuardError, match="may pass 11 decimal digits"):
-        lonely_hall_count(2, 11, max_n=11, max_digits=11)
-    assert lonely_hall_count(4, 3, max_k=4, max_digits=1) == 0  # k > n: no column fits
+        lonely_hall_count(2, 11, max_digits=11)
+    assert lonely_hall_count(4, 3, max_digits=1) == 0  # k > n: no column fits
 
 
 def test_lonely_hall_dominates_latin_count():
