@@ -143,10 +143,9 @@ def _check_range(args) -> None:
 
 def _cmd_count(args):
     method = args.method
-    total_only = method in ("direct-L", "factorial-bridge")
     if args.bracket == "literal" and method != "direct-L":
         raise ValueError(f"--bracket literal applies to --method direct-L only, not {method}")
-    variant = "total" if (args.total or total_only) else "reduced"
+    variant = "total" if (args.total or method == "direct-L") else "reduced"
     if method == "formula" and variant == "total":
         method = "factorial-bridge"
     if method == "formula":
@@ -296,7 +295,7 @@ def build_parser() -> _Parser:
     p_count.add_argument("--total", action="store_true")
     p_count.add_argument(
         "--method",
-        choices=["formula", "oracle", "factorial-bridge", "direct-L"],
+        choices=["formula", "oracle", "direct-L"],
         default="formula",
     )
     p_count.add_argument("--bracket", choices=["derived", "literal"], default="derived")

@@ -14,17 +14,17 @@ profile to the next instead of recomputing them, steps the bracket by
 its differences (`_difference`) along classes 1 and 2 instead of
 evaluating it there, and collects like terms: it sums the weights of
 the profiles that share a bracket value and raises each distinct value
-to the n-th power once.  `range_sum` compiles one walk over the
-profiles of N that serves the reduced sum for every n up to N: the
-all-ones class is in no block sum, so it holds the floors a smaller n
-leaves out, and the walk collects like terms by (floors outside it,
-g).  The walk is a loop nest whose limits are Hall's conditions
-(`_hall_bounds`), so it visits no profile whose term is 0; each level
-carries its own weight, and no factorial table is built.  `_finish`
-makes the rows from what the walk collected, holding one power per key
-at a time.  Each
-generator emits bare lines that the function around them indents, and
-`profiles._compiled` compiles every one of them.
+to the n-th power once.  `range_sum` compiles one walk that serves
+the reduced sum for every n: the all-ones class is in no block sum, so
+only its floors, n - s, depend on n, and the walk over the profiles of
+the other classes that sum to s collects like terms by g into weights
+W_s that no n changes.  The walk is a loop nest whose limits are
+Hall's conditions (`_hall_bounds`), so it visits no profile whose term
+is 0; each level carries its own weight, and no factorial table is
+built.  `_finish` makes the rows from every W_s, holding one power per
+key at a time.  Each generator emits bare lines that the function
+around them indents, and `profiles._compiled` compiles every one of
+them.
 Nothing here counts operations: `tallies.add_sum_ops` scales each
 compiled function's cost per call, or per branch, up to a whole sum,
 and `range_sum`'s callers print no op counts.
@@ -46,8 +46,7 @@ ground elements 1..m of the partitions.
 import sys
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb
-from operator import index, mul
+from operator import add, index, mul
 
 from . import guards, partitions, profiles
 from .tallies import assembly_product, powered  # noqa: F401  config_count's code reads powered; perfbench traces both
@@ -236,7 +235,7 @@ def _sum_source(q: int, bracket: str) -> tuple[str, tuple[tuple[int, int], ...]]
 
 # Loop levels per generated function of the one walk's nest.  CPython
 # refuses more than 20 statically nested blocks; 12 already splits the
-# 15 levels at q = 16, so every q from 16 on runs the same chain.
+# 14 loops at q = 16, so every q from 16 on runs the same chain.
 _NEST_LEVELS = 12
 
 
@@ -259,17 +258,14 @@ def _hall_bounds(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 def _range_source(q: int) -> str:
     m = _tracked_rows(q)
-    # c' = 0, the only profile with s = 0: weight (-1)^(mN), and g = 0
-    # unless m = 0, since each partition of a nonempty row set has a block
-    weight = "-1 if n_max & 1 else 1" if m & 1 else "1"
-    head = ["def range_sum(n_max):", f"    acc = {{(0, {int(not m)}): {weight}}}"]
+    head = "def range_sum(s):"
     if q == 1:
-        return "\n".join([*head, "    return acc"])
+        return "\n".join([head, "    return {}"])
     _, poly, _, _ = _g_source(m)
     masks = _block_masks(m)
     full = q - 1  # the block of every row: its sum is class 0's floors
     bounds = _hall_bounds(m)
-    levels = len(bounds) + 1  # level 0 runs s, level i > 0 class bounds[i - 1]
+    levels = len(bounds) + 1  # level 0 is the body, level i > 0 class bounds[i - 1]
     # each function of the chain holds _NEST_LEVELS levels, but the first
     cuts = range(levels - _NEST_LEVELS, 0, -_NEST_LEVELS)
     # the weight, and each block sum, inside level i's loop: a floor moved
@@ -289,7 +285,7 @@ def _range_source(q: int) -> str:
         # by one the block sums that hold class cls
         lowered, _, _ = _polynomial(_expansion(m), {bm for bm in masks if not cls & bm})
         leaf += [f"if c{cls}:", f"    y *= ({lowered}) ** c{cls}"]
-    leaf += [f"key = s, {poly}", "acc[key] = get(key, 0) + y"]
+    leaf += [f"key = {poly}", "acc[key] = get(key, 0) + y"]
     functions = []
 
     def level(i):
@@ -304,11 +300,6 @@ def _range_source(q: int) -> str:
         return loop(i)
 
     def loop(i):
-        if i == 0:
-            sign = f"w = -w if (n_max - {m + 1}) & 1 else w" if m & 1 else None
-            return [f"w = column_counts.comb(n_max, {m + 1})", *filter(None, [sign]),
-                    f"for s in range({m + 1}, n_max + 1):", *_indent(level(1)),
-                    f"    w = {'-' if m & 1 else ''}w * (n_max - s) // (s + 1)"]
         t, above = bounds[i - 1]
         w, outer, here = weights[i], sums[i - 1], sums[i]
         # c'_T < s - |T| - Σ c'_u; the first class loop has all s floors to take
@@ -323,46 +314,57 @@ def _range_source(q: int) -> str:
                 *_indent([*lowered, *level(i + 1)]),
                 f"    {w} = {'-' if t.bit_count() & 1 else ''}{w} * {here[full]} // (c{t} + 1)"]
 
-    body = ["get = acc.get", *loop(0), "return acc"]
-    return "\n\n".join(["\n".join([*head, *_indent(body)]),
+    # c' = (s, 0, ..., 0): sign +1 and multinomial 1
+    body = ["acc = {}", "get = acc.get", "w = 1", *level(1), "return acc"]
+    return "\n\n".join(["\n".join([head, *_indent(body)]),
                         *("\n".join(f) for f in functions)])
 
 
-def _finish(acc, n_max: int, m: int, n_min: int) -> list[tuple[int, int]]:
-    """The rows (R_k(n), terms) for n = n_min..N from one walk over the profiles of N.
+def _finish(walk, n_max: int, m: int, n_min: int) -> list[tuple[int, int]]:
+    """The rows (R_k(n), terms) for n = n_min..N, N = n_max, from the weights W_s of `walk`.
 
-    acc maps (s, gamma) to the summed weights A_s(gamma) of the walk
-    over the profiles of N = n_max with m tracked rows.  Row n is
-    Σ_s C(n, s) Σ_gamma W_s(gamma) ((-1)^m gamma)^(n - s): its class v*
-    holds the other n - s floors, each with m omitted halls and the
-    factor gamma.  The walk's weight counts v*'s N - s floors of the
-    profile of N, so A_s(gamma) = C(N, s) (-1)^(m(N - s)) W_s(gamma),
-    and since C(n, s) / C(N, s) = C(N - s, n - s) / C(N, n), row n is
-
-        (-1)^(m(N - n)) Σ_s C(N - s, n - s) Σ_gamma A_s(gamma) gamma^(n - s) / C(N, n),
-
-    an exact quotient, taken once per row; at n = N every coefficient
-    is 1.  Its terms are the profiles of n, C(n + 2^m - 1, 2^m - 1)
+    Row n is Σ_s C(n, s) Σ_gamma W_s(gamma) ((-1)^m gamma)^(n - s), with
+    m tracked rows (see `range_sum`).  W_0 = {gamma: 1} holds c' = 0,
+    whose gamma is 0, since each partition of a nonempty row set has a
+    block, or 1 at m = 0; W_1..W_m are empty, since the set of every row
+    fails Hall's condition there, and `walk(s)` gives W_s for s > m.
+    Row n_min multiplies C(n_min, s) into each weight before its power,
+    and builds nothing more when it is the only row.  Each later row
+    takes C(n, s) from the row before by Pascal's rule, with additions
+    only, and each key's power from the row before, so no row is
+    divided.  Row n's terms are the profiles of n, C(n + 2^m - 1, 2^m - 1)
     (`guards.composition_count`): the walk visits only the profiles
-    whose terms are not 0, so it counts none.
+    whose terms are not 0, so it counts none.  No row below n_min is
+    made, so a table that starts at a large n pays for the walk and its
+    own rows only.
     """
-    # per key, its terms of the rows from max(s, n_min) on, made one at a
-    # time, each the one before times gamma: one big integer per key is
-    # held at a time
-    powers = [[] for _ in range(n_max + 1)]
-    for (s, gamma), a in acc.items():
-        first = a * gamma ** max(n_min - s, 0)
-        powers[s].append(accumulate(repeat(gamma, n_max - max(s, n_min)), mul, initial=first))
-    rows = []
-    # C(N - s, n - s) for s = 0..n, whose first, C(N, n), is also the
-    # row's divisor: row n_min's by the ratio (n - s) / (N - s) from s to
-    # s + 1, and each later row's from the row before by (N - n) / (n + 1 - s)
-    binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (n_max - s),
-                                initial=comb(n_max, n_min)))
-    for n in range(n_min, n_max + 1):
-        value = sum(b * sum(map(next, powers[s])) for s, b in enumerate(binomials)) // binomials[0]
-        rows.append((-value if m & (n_max - n) & 1 else value, guards.composition_count(n, 1 << m)))
-        binomials = [*(b * (n_max - n) // (n + 1 - s) for s, b in enumerate(binomials)), 1]
+    # row n_min's C(n_min, s), s = 0..n_min, by the ratio (n_min - s) / (s + 1)
+    # from s to s + 1: 70 times faster than math.comb per s at n_min = 2000
+    binomials = list(accumulate(range(n_min), lambda b, s: b * (n_min - s) // (s + 1), initial=1))
+    value = 0
+    powers = []
+    for s in range(n_max + 1):
+        weights = walk(s) if s > m else {} if s else {int(not m): 1}
+        powers.append([])
+        for gamma, w in weights.items():
+            gamma = -gamma if m & 1 else gamma
+            if s <= n_min:
+                # C(n_min, s) joins w before the power: two long factors
+                # multiply faster than a short one into their product
+                power = gamma ** (n_min - s)
+                value += binomials[s] * w * power
+                if n_min == n_max:
+                    continue
+                w *= power * gamma
+            # per key, its terms of the later rows, from max(s, n_min + 1)
+            # on, made one at a time, each the one before times (-1)^m
+            # gamma: one big integer per key is held at a time
+            powers[s].append(accumulate(repeat(gamma, n_max - max(s, n_min + 1)), mul, initial=w))
+    rows = [(value, guards.composition_count(n_min, 1 << m))]
+    for n in range(n_min + 1, n_max + 1):
+        binomials = [1, *map(add, binomials, binomials[1:]), 1]
+        rows.append((sum(b * sum(map(next, powers[s])) for s, b in enumerate(binomials)),
+                     guards.composition_count(n, 1 << m)))
     return rows
 
 
@@ -481,97 +483,85 @@ def direct_sum(q: int, bracket: str = "derived"):
 
 @lru_cache(maxsize=None)
 def range_sum(q: int):
-    """The one walk over profiles of length q = 2^(k-1) that serves R_k(n) for every n <= N, compiled once.
+    """The one walk over profiles of length q = 2^(k-1) that serves R_k(n) for every n, compiled once.
 
-    `range_sum(N)` returns acc, from which `_finish` makes the rows
-    (R_k(n), terms) for n <= N.  The all-ones class v* = q - 1, every
-    tracked row's hall omitted, is in no block sum.  For a profile c of
-    n, write c' for c with v* emptied and s = |c'|.  Then g(c) and each
-    shifted count G_v(c) depend on c' alone: g(c) = g(c') = gamma, and
-    G_v, for v != v*, is g with the block sums that hold class v lowered
-    by one, which is `config_count`'s shift of a floor of v into v*.
-    Only the sign, the multinomial and v*'s factor gamma^(n - s) depend
-    on n, and splitting them off gives
+    `range_sum(s)`, for one s > m = k - 1, returns W_s, a dict from
+    gamma to W_s(gamma), from which `_finish` makes the rows
+    (R_k(n), terms).  The all-ones class v* = q - 1, every tracked row's
+    hall omitted, is in no block sum.  For a profile c of n, write c'
+    for c with v* emptied and s = |c'|.  Then g(c) and each shifted
+    count G_v(c) depend on c' alone: g(c) = g(c') = gamma, and G_v, for
+    v != v*, is g with the block sums that hold class v lowered by one,
+    which is `config_count`'s shift of a floor of v into v*.  Only the
+    sign, the multinomial and v*'s factor gamma^(n - s) depend on n, and
+    splitting them off gives
 
         R_k(n) = sum over s <= n of C(n, s) (-1)^(m(n-s)) sum_gamma W_s(gamma) gamma^(n-s),
 
     where W_s(gamma) sums Y(c') = sign(c') s!/prod c'_u! prod G_v(c')^(c'_v),
     over the nonempty classes v != v*, for the c' with |c'| = s and
-    g(c') = gamma.  The profiles of N are exactly the c' with s <= N,
-    with v* holding the slack N - s, so one walk fills every W_s.
+    g(c') = gamma.  No W_s depends on n.
 
     The walk is a loop nest that visits only the c' whose G_v are all
     nonzero.  By Hall's theorem G_v(c') = 0 for some nonempty v when a
     nonempty row set T has too few floors open to it, and the nest's
     limits are those conditions, exact (`_hall_bounds`; the tests check
-    them profile by profile).  c' = 0, the one profile with s = 0, is
-    written into acc first: its weight is (-1)^(mN), and its gamma is 0
-    (1 at m = 0).  The outermost loop runs s from m + 1, since at
-    s = 1..m the set of every row fails.  Then one loop per class T
-    other than 0 and v*, in `_hall_bounds`' order, runs c'_T from 0 to
-    the smaller of the floors left and s - |T| - 1 - Σ c'_u over the
-    classes u ⊋ T other than v*, and class 0 takes the floors left.
-    Every level carries its own weight.  The s loop carries
-    C(N, s) (-1)^(m(N - s)), the weight of the profile of N with s
-    floors in class 0 and N - s in v*; a step of T's loop moves a floor
-    from class 0 to T, which multiplies the weight by class 0's floors
-    before the move and divides it, exactly, by c'_T after it, and flips
-    its sign when |T| is odd.  So the leaf's w is `direct_sum`'s
-    sign(c) N!/prod c_u! over the profile c of N: sign(c') s!/prod c'_u!
-    times C(N, s) (-1)^(m(N - s)), a factor that every profile with the
-    same s shares and that `_finish` takes out once per row.  No
-    factorial table is built.  The block sums are carried the same way:
-    every one starts at s, and T's loop lowers by c'_T those of the
-    blocks that meet T, since its floors left class 0, which is in every
-    block sum, for T, which is in none of those.  Class 0's floors are
-    the sum of the block of every row.  The leaf folds G_v^(c'_v) for
-    each nonempty class v != v* into w and adds the result into
-    acc[(s, gamma)].
+    them profile by profile).  At s = 1..m the set of every row fails,
+    so W_s is empty there, and `_finish` calls the walk for s > m only.
+    One loop per class T other than 0 and v*, in `_hall_bounds`' order,
+    runs c'_T from 0 to the smaller of the floors left and
+    s - |T| - 1 - Σ c'_u over the classes u ⊋ T other than v*, and
+    class 0 takes the floors left.  Every level carries its own weight,
+    from w = 1 at c' = (s, 0, ..., 0), whose sign is +1 and multinomial
+    1: a step of T's loop moves a floor from class 0 to T, which
+    multiplies the weight by class 0's floors before the move and
+    divides it, exactly, by c'_T after it, and flips its sign when |T|
+    is odd.  So the leaf's w is sign(c') s!/prod c'_u!, and no factorial
+    table is built.  The block sums are carried the same way: every one
+    starts at s, and T's loop lowers by c'_T those of the blocks that
+    meet T, since its floors left class 0, which is in every block sum,
+    for T, which is in none of those.  Class 0's floors are the sum of
+    the block of every row.  The leaf folds G_v^(c'_v) for each
+    nonempty class v != v* into w and adds the result into acc[gamma].
 
-    The nest has q - 1 levels, and CPython compiles at most 20 nested
+    The nest has q - 2 loops, and CPython compiles at most 20 nested
     blocks, so each run of `_NEST_LEVELS` levels from the innermost out
     is a function of its own, which the level above calls with what it
-    has fixed: from q = 16 on the nest is a chain.  The walk only walks:
-    `_finish` makes each row from acc, with one power per key and row,
-    each the one before times gamma, holding only the current one, and
-    it makes no row below the first one asked for, so a table that
-    starts at a large n pays for the walk and its own rows only.  At
-    m = 2 the source is
+    has fixed: from q = 16 on the nest is a chain.  At q = 1 there is no
+    class but v*, and the walk returns {}.  At m = 2 the source is
 
-        def range_sum(n_max):
-            acc = {(0, 0): 1}
+        def range_sum(s):
+            acc = {}
             get = acc.get
-            w = column_counts.comb(n_max, 3)
-            for s in range(3, n_max + 1):
-                w2 = w
-                for c2 in range(s - 1):
-                    b2 = s - c2
-                    c0_2 = s - c2
-                    w1 = w2
-                    for c1 in range(min(c0_2 + 1, s - 1)):
-                        b1 = s - c1
-                        c0 = c0_2 - c1
-                        b3 = c0
-                        d1 = b1 - 1
-                        d2 = b2 - 1
-                        d3 = b3 - 1
-                        y = w1
-                        if c0:
-                            y *= (d1 * d2 - d3) ** c0
-                        if c1:
-                            y *= (b1 * d2 - b3) ** c1
-                        if c2:
-                            y *= (d1 * b2 - b3) ** c2
-                        key = s, b1 * b2 - b3
-                        acc[key] = get(key, 0) + y
-                        w1 = -w1 * c0 // (c1 + 1)
-                    w2 = -w2 * c0_2 // (c2 + 1)
-                w = w * (n_max - s) // (s + 1)
+            w = 1
+            w2 = w
+            for c2 in range(s - 1):
+                b2 = s - c2
+                c0_2 = s - c2
+                w1 = w2
+                for c1 in range(min(c0_2 + 1, s - 1)):
+                    b1 = s - c1
+                    c0 = c0_2 - c1
+                    b3 = c0
+                    d1 = b1 - 1
+                    d2 = b2 - 1
+                    d3 = b3 - 1
+                    y = w1
+                    if c0:
+                        y *= (d1 * d2 - d3) ** c0
+                    if c1:
+                        y *= (b1 * d2 - b3) ** c1
+                    if c2:
+                        y *= (d1 * b2 - b3) ** c2
+                    key = b1 * b2 - b3
+                    acc[key] = get(key, 0) + y
+                    w1 = -w1 * c0 // (c1 + 1)
+                w2 = -w2 * c0_2 // (c2 + 1)
             return acc
 
     Nothing here counts operations: `table` and selftest print none.
     """
-    return profiles._compiled(_range_source(q), "range_sum", sys.modules[__name__])
+    return profiles._compiled(_range_source(q), "range_sum")
 
 
 def _tracked_rows(q: int) -> int:

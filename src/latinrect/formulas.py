@@ -17,15 +17,16 @@ bracket in full only on the other profiles, and sums the weights per
 bracket value, so that each distinct bracket is raised to the n-th
 power once.
 
-`reduced_counts` gives R_k(n) for a whole range of n from one walk over
-the profiles of its largest n (`column_counts.range_sum`), since the
-all-ones class, in no block sum, can hold the floors a smaller n leaves
-out.  That walk is a loop nest whose limits are Hall's conditions, so
-it visits only the profiles whose terms are not 0; it carries the
-signed multinomial level by level and builds no factorial table, and
-`column_counts._finish` then makes the rows asked for, one power per
-key at a time.  `table`
-and selftest's range suites use it; `count`, `bench` and
+`reduced_counts` gives R_k(n) for a whole range of n from one walk
+(`column_counts.range_sum`): the all-ones class is in no block sum, so
+the walk sums, for each s, the profiles of the other classes that sum
+to s into weights W_s that no n changes, and the all-ones class takes
+the n - s floors left.  That walk is a loop nest whose limits are
+Hall's conditions, so it visits only the profiles whose terms are not
+0; it carries the signed multinomial level by level and builds no
+factorial table, and `column_counts._finish` then makes the rows asked
+for from every W_s, one power per key at a time.  `table` and
+selftest's range suites use it; `count`, `bench` and
 `reduced_count` stay one sum per n, and only they report op counts.
 Every sum passes `guards.check_sum` before it builds anything.
 Every entry point takes its k and n through `operator.index`, so a
@@ -183,18 +184,19 @@ def reduced_counts(
     n_min: int = 0,
     max_terms: int | None = None,
 ) -> list[tuple[int, int]]:
-    """(R_k(n), terms) for every n in n_min..n_max, from one walk over the profiles of n_max.
+    """(R_k(n), terms) for every n in n_min..n_max, from the one walk's weights for s <= n_max.
 
     The values are `reduced_count`'s, and each row's terms is the
     number of profiles of n, C(n + 2^(k-1) - 1, 2^(k-1) - 1), as
     `reduced_count` reports it.  That number is a closed form here,
     since the walk visits only the profiles whose terms are not 0.  Its
     class v*, every tracked row's hall omitted, is in no block sum, so
-    it takes the n_max - s floors a smaller n leaves out, and one walk
-    serves every row (see `column_counts.range_sum`);
-    `column_counts._finish` then makes the rows from n_min on.  The
-    guard bounds the walk by the profiles of n_max, all of them, though
-    the walk visits fewer.  No op counts are kept.
+    a profile of n is one c' of the other classes, with s = |c'| <= n,
+    and n - s floors in v*.  The walk sums the c' of each s into weights
+    W_s that no n changes (see `column_counts.range_sum`), and
+    `column_counts._finish` makes the rows from n_min on from those of
+    s <= n_max.  The guard bounds the walk by the profiles of n_max, all
+    of them, though the walk visits fewer.  No op counts are kept.
     """
     k, n_max, n_min = index(k), index(n_max), index(n_min)
     if k < 1:
@@ -203,8 +205,7 @@ def reduced_counts(
         raise ValueError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
     what = f"reduced counts for k={k}, n={n_min}..{n_max}"
     q = guards.check_sum(k - 1, n_max, n_max, max_terms, what)
-    acc = column_counts.range_sum(q)(n_max)
-    return column_counts._finish(acc, n_max, k - 1, n_min)
+    return column_counts._finish(column_counts.range_sum(q), n_max, k - 1, n_min)
 
 
 def total_count(

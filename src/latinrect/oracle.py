@@ -83,19 +83,6 @@ def reduce_rectangle(rows) -> Rows:
     return tuple(tuple(r[j] for j in order) for r in rows)
 
 
-def indicator_tensor(rows):
-    """0-1 tensor T[i][j][l] = 1 iff cells[i][j] == l+1 (a derived view).
-
-    Lets tests assert the three defining conditions verbatim: exactly
-    one room per shaft, at most one per hall, at most one per corridor.
-    """
-    rows = _normalize(rows)
-    n = len(rows[0]) if rows else 0
-    return tuple(
-        tuple(tuple(1 if v == l + 1 else 0 for l in range(n)) for v in r) for r in rows
-    )
-
-
 def brute_force_count(
     k: int,
     n: int,

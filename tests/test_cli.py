@@ -136,9 +136,12 @@ def test_total_only_methods_imply_total(capsys):
     payload = json.loads(out)
     assert payload["variant"] == "total"
     assert payload["value"] == "216"
-    code, out, _ = run(capsys, ["count", "--k", "2", "--n", "4", "--method", "factorial-bridge", "--format", "json"])
+    # the formula with --total runs the factorial bridge, which its JSON names
+    code, out, _ = run(capsys, ["count", "--k", "2", "--n", "4", "--total", "--format", "json"])
     assert code == 0
-    assert json.loads(out)["value"] == "216"
+    payload = json.loads(out)
+    assert payload["method"] == "factorial-bridge"
+    assert payload["value"] == "216"
 
 
 def test_count_values_are_decimal_strings_beyond_word_size(capsys):
@@ -158,6 +161,10 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, ["expr", "--k", "1"])
     assert code == 1
     assert "constant 1" in err
+    # the factorial bridge is count --total, not a --method of its own
+    code, out, err = run(capsys, ["count", "--k", "2", "--n", "4", "--method", "factorial-bridge"])
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("latinrect count: error: argument --method: invalid choice: 'factorial-bridge'")
 
 
 def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
@@ -175,8 +182,8 @@ def test_bad_n_is_reported_like_other_usage_errors(tmp_path, capsys):
          "--bracket literal applies to --method direct-L only, not formula"),
         (["count", "--k", "3", "--n", "5", "--method", "oracle", "--bracket", "literal"],
          "--bracket literal applies to --method direct-L only, not oracle"),
-        (["count", "--k", "2", "--n", "5", "--method", "factorial-bridge", "--bracket", "literal"],
-         "--bracket literal applies to --method direct-L only, not factorial-bridge"),
+        (["count", "--k", "2", "--n", "5", "--total", "--bracket", "literal"],
+         "--bracket literal applies to --method direct-L only, not formula"),
         (["oracle", "--k", "3", "--n", "4", "--halls", "2x"],
          "argument --halls: bad hall '2x'; expected row:floor"),
         (["oracle", "--k", "3", "--n", "4", "--halls", "2:1", "--total"],
@@ -561,8 +568,7 @@ def test_threads_below_one_or_not_an_integer_exit_one(capsys):
 def test_threads_below_one_exit_one_for_every_method(capsys):
     # the oracle never starts the pool, yet rejects the same values
     for argv in (["count", "--k", "3", "--n", "4", "--method", "oracle", "--threads", "0"],
-                 ["count", "--k", "3", "--n", "4", "--method", "factorial-bridge",
-                  "--threads", "-3"],
+                 ["count", "--k", "3", "--n", "4", "--total", "--threads", "-3"],
                  ["count", "--k", "2", "--n", "4", "--method", "direct-L", "--threads", "0"]):
         code, out, err = run(capsys, argv)
         assert code == 1, argv

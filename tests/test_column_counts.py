@@ -357,10 +357,11 @@ def test_kernel_docstring_shows_the_generated_source():
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 32])
 def test_range_sum_builds_no_factorial_table_and_walks_no_compositions(q, monkeypatch):
     # the nest carries its weight level by level and never visits a
-    # profile whose term is 0, so it tests no factor and counts nothing
-    n = 3 if q == 32 else 6
+    # profile whose term is 0, so it tests no factor and counts nothing;
+    # its weights W_s are free of the largest n, so it knows no n_max
+    m = q.bit_length() - 1
     source = _range_source(q)
-    for word in ("fact", "compositions", "continue", "seen"):
+    for word in ("fact", "compositions", "continue", "seen", "n_max", "comb"):
         assert word not in source, word
 
     def refuse(*args):
@@ -368,19 +369,24 @@ def test_range_sum_builds_no_factorial_table_and_walks_no_compositions(q, monkey
 
     monkeypatch.setattr(profiles, "compositions", refuse)
     monkeypatch.setattr(profiles, "factorial_table", refuse)
-    assert range_sum(q)(n)
+    # at q = 1 there is no class but v*, so every s > 0 has no weights;
+    # the first s past m at q = 32 walks for over 10 s, so there the
+    # source alone is checked
+    if q <= 16:
+        assert bool(range_sum(q)(m + 1)) == (q > 1)
 
 
 @pytest.mark.parametrize("k, n", [(2, 12), (3, 14), (4, 10), (5, 5)])
 def test_hall_bounds_admit_exactly_the_profiles_without_a_zero_factor(k, n):
-    # profile by profile over c of n, with c' = c without v* and s = |c'|:
-    # the nest's loop limits hold exactly when no G_v of a nonempty class
-    # v != v* is 0, and its acc sums the terms of exactly those profiles
+    # profile by profile over c of n, with c' = c without v* and s = |c'|,
+    # so that every c' with s <= n comes once: the nest's loop limits hold
+    # exactly when no G_v of a nonempty class v != v* is 0, and W_s sums
+    # sign(c') multinomial(c') prod G_v over exactly those c' of s
     m = k - 1
     top = (1 << m) - 1
     bounds = _hall_bounds(m)
     assert sorted(t for t, _ in bounds) == list(range(1, top))
-    want = {}
+    want = {s: {} for s in range(m + 1, n + 1)}
     admitted = 0
     for c in compositions(n, m):
         s = n - c[top]
@@ -390,21 +396,39 @@ def test_hall_bounds_admit_exactly_the_profiles_without_a_zero_factor(k, n):
         assert within == all(factors), c
         if within:
             admitted += 1
-            key = s, choice_count(c)
-            want[key] = want.get(key, 0) + sign(c) * multinomial(c) * prod(factors)
-    assert range_sum(1 << m)(n) == want
+        if within and s:
+            cut = (*c[:top], 0)
+            weights = want[s]
+            key = choice_count(c)
+            weights[key] = weights.get(key, 0) + sign(cut) * multinomial(cut) * prod(factors)
+    assert {s: range_sum(1 << m)(s) for s in want} == want
     assert 0 < admitted < comb(n + top, top)
 
 
 @pytest.mark.parametrize("k, n", [(6, 3), (7, 2)])
-def test_range_sum_chains_past_the_nesting_limit(k, n):
-    # 31 and 63 levels: CPython compiles at most 20 nested blocks, so the
-    # nest is a chain of functions; q = 16 already splits, as k = 5 runs
+def test_range_sum_chains_past_the_nesting_limit(k, n, monkeypatch):
+    # 30 and 62 loops: CPython compiles at most 20 nested blocks, so the
+    # nest is a chain of functions; the 14 loops at q = 16 already split,
+    # as k = 5 runs
     q = 1 << (k - 1)
     assert _range_source(q).count("\ndef ") == (q - 1 + 11) // 12 - 1
     assert _range_source(16).count("\ndef ") == 1
-    assert list(range_sum(q)(n)) == [(0, 0)]
+    assert range_sum(q)
+    # cut after every other level, the q = 8 nest gives its weights whole
+    whole = range_sum(8)
+    monkeypatch.setattr(column_counts, "_NEST_LEVELS", 2)
+    source = _range_source(8)
+    assert source.count("\ndef ") == 3
+    chained = profiles._compiled(source, "range_sum")
+    for s in range(4, 10):
+        assert chained(s) == whole(s), s
+    # the walk runs for s = m+1..n only, so rows up to n = m call none
+    calls = []
+    monkeypatch.setattr(column_counts, "range_sum", lambda q: lambda s: calls.append(s) or {})
     assert reduced_counts(k, n) == [(1, 1), *((0, comb(i + q - 1, i)) for i in range(1, n + 1))]
+    assert calls == []
+    reduced_counts(3, 6, n_min=6)
+    assert calls == [3, 4, 5, 6]
 
 
 def test_range_sum_docstring_shows_the_generated_source():

@@ -15,7 +15,6 @@ from latinrect.guards import ResourceGuardError
 from latinrect.oracle import (
     brute_force_count,
     hall_sets,
-    indicator_tensor,
     is_latin,
     lonely_hall_count,
     profile_of,
@@ -126,6 +125,16 @@ def test_is_latin_rejects_malformed_cells():
         is_latin(((1, 2), (3, 1)))
     with pytest.raises(ValueError):
         is_latin(((1, 2), (1,)))
+
+
+def indicator_tensor(rows):
+    """0-1 tensor T[i][j][l] = 1 iff rows[i][j] == l + 1 (a derived view).
+
+    Lets a test assert the three defining conditions verbatim: exactly
+    one room per shaft, at most one per hall, at most one per corridor.
+    """
+    n = len(rows[0])
+    return tuple(tuple(tuple(1 if v == l + 1 else 0 for l in range(n)) for v in r) for r in rows)
 
 
 def test_indicator_tensor_conditions():
